@@ -37,7 +37,7 @@ from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.agent import WorkerAgent
 from repro.service.client import ServiceClient
 from repro.service.faults import CRASH_POINTS_ENV
-from repro.service.http import make_server
+from repro.service.gateway import GatewayRunner
 
 JOBS = 4
 TRIALS = 300
@@ -76,22 +76,15 @@ class _Coordinator:
     """A live HTTP coordinator over throwaway directories."""
 
     def __init__(self, tmp_path, lease_seconds=LEASE_SECONDS):
-        self.server = make_server(
-            port=0, workers=1,
+        self.runner = GatewayRunner(
+            workers=1,
             store_dir=str(tmp_path / "store"),
             checkpoint_dir=str(tmp_path / "ckpt"),
-            lease_seconds=lease_seconds)
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-        host, port = self.server.server_address[:2]
-        self.url = f"http://{host}:{port}"
+            lease_seconds=lease_seconds, drain_grace=0).start()
+        self.url = self.runner.base_url
 
     def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.server.service.shutdown(wait=True, cancel_running=True)
-        self.thread.join(timeout=30)
+        self.runner.stop()
 
 
 def _run_throughput(tmp_path, agent_count) -> ThroughputPoint:

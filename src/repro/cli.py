@@ -22,9 +22,7 @@ plan, reproducing the original run's trial ledgers byte for byte.
 
 Flags are named after :class:`~repro.plans.ExecutionPolicy` fields:
 ``--batch-size``, ``--eval-workers``, ``--shard-workers``,
-``--checkpoint-dir``, ``--checkpoint-every``.  The pre-plan spellings
-``--workers`` and ``--campaign-dir`` remain as hidden deprecated
-aliases.
+``--checkpoint-dir``, ``--checkpoint-every``.
 """
 
 from __future__ import annotations
@@ -62,10 +60,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="process-pool workers for child evaluation "
                              "(default 1 = in-process; useful with real "
                              "training evaluators)")
-    parser.add_argument("--workers",  # deprecated: --eval-workers
-                        dest="workers_alias", type=int,
-                        default=None,
-                        help=argparse.SUPPRESS)  # deprecated: --eval-workers
     parser.add_argument("--shard-workers", type=int, default=1,
                         help="worker-pool processes for whole search shards "
                              "in campaign mode (default 1 = serial)")
@@ -78,10 +72,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="snapshot searches under this directory; "
                              "re-running with the same directory resumes "
                              "interrupted searches")
-    parser.add_argument("--campaign-dir",  # deprecated: --checkpoint-dir
-                        dest="campaign_dir_alias",  # deprecated alias
-                        default=None,
-                        help=argparse.SUPPRESS)  # deprecated: --checkpoint-dir
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         help="trials between snapshots (default: ~10 per "
                              "search)")
@@ -208,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8765,
                    help="bind port (default 8765; 0 = ephemeral)")
-    p.add_argument("--workers", type=int,  # not the deprecated search alias
-                   default=2,
+    p.add_argument("--workers", type=int, default=2,
                    help="service workers = jobs in flight at once "
                         "(default 2)")
     p.add_argument("--backend", choices=("thread", "process"),
@@ -237,11 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers; a lease not renewed by heartbeat within "
                         "the term expires and the job re-queues (default "
                         "15)")
-    p.add_argument("--async", dest="async_gateway", action="store_true",
-                   help="serve through the asyncio gateway instead of the "
-                        "thread-per-connection server: adds SSE + long-"
-                        "poll event streams, sustains hundreds of "
-                        "concurrent clients, drains gracefully on SIGTERM")
+    # Accepted and ignored: the gateway is the only server.
+    p.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--tenants", default=None, metavar="TENANTS_JSON",
                    help="enable multi-tenant mode from a tenants.json "
                         "config (API keys, per-tenant quotas, fair-share "
@@ -250,12 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on queued jobs before submissions get 503 "
                         "backpressure (default: unbounded)")
     p.add_argument("--max-connections", type=int, default=None,
-                   help="async gateway only: cap on concurrently open "
-                        "connections (503 at accept beyond it)")
+                   help="cap on concurrently open connections (503 at "
+                        "accept beyond it; default: unbounded)")
     p.add_argument("--drain-grace", type=float, default=None,
-                   help="async gateway only: seconds a graceful drain "
-                        "waits for running jobs before checkpoint-"
-                        "cancelling them (default: wait indefinitely)")
+                   help="seconds a graceful drain (POST /shutdown, "
+                        "SIGTERM, Ctrl-C) waits for running jobs before "
+                        "checkpoint-cancelling them; 0 cancels at once "
+                        "(default: wait indefinitely)")
 
     p = sub.add_parser(
         "agent",
@@ -347,25 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execution_from_args(args: argparse.Namespace) -> ExecutionPolicy:
-    """Merge canonical flags and deprecated aliases into one policy."""
+    """The execution flags of a parsed command line as one policy."""
     eval_workers = getattr(args, "eval_workers", None)
-    if getattr(args, "workers_alias", None) is not None:
-        print("note: --workers is deprecated; use --eval-workers",
-              file=sys.stderr)
-        if eval_workers is None:
-            eval_workers = args.workers_alias
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if getattr(args, "campaign_dir_alias", None) is not None:  # deprecated
-        print("note: --campaign-dir is deprecated; use --checkpoint-dir",
-              file=sys.stderr)
-        if checkpoint_dir is None:
-            checkpoint_dir = args.campaign_dir_alias  # deprecated alias
     return ExecutionPolicy(
         batch_size=getattr(args, "batch_size", 1),
         eval_workers=1 if eval_workers is None else eval_workers,
         shard_workers=getattr(args, "shard_workers", 1),
         shard_batch_trials=getattr(args, "shard_batch_trials", None),
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
         checkpoint_every=getattr(args, "checkpoint_every", None),
     )
 
@@ -486,8 +462,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: run the HTTP job service until shutdown."""
-    from repro.service.http import make_server, run_server
+    """``repro serve``: run the HTTP gateway until drained."""
+    from repro.service.gateway import run_gateway
     from repro.service.service import SearchService
     from repro.service.tenants import TenantRegistry
 
@@ -508,49 +484,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     }
     if args.lease_seconds is not None:
         service_kwargs["lease_seconds"] = args.lease_seconds
-
-    def report_recovery(service):
-        if service.recovered_jobs:
-            print(f"recovered {len(service.recovered_jobs)} unfinished "
-                  "job(s) from the journal: "
-                  f"{', '.join(service.recovered_jobs)}",
-                  file=sys.stderr, flush=True)
-        for error in service.recovery_errors:
-            print(f"journal recovery skipped an entry: {error}",
-                  file=sys.stderr, flush=True)
-
-    mode = " multi-tenant" if tenants is not None else ""
-    if args.async_gateway:
-        from repro.service.gateway import run_gateway
-
-        service = SearchService(**service_kwargs)
-        report_recovery(service)
-        print(f"serving async{mode} gateway on http://{args.host}:"
-              f"{args.port} ({args.workers} {args.backend} worker(s); "
-              "SSE at /jobs/<id>/events/stream; POST /shutdown or "
-              "SIGTERM to drain)",
+    service = SearchService(**service_kwargs)
+    if service.recovered_jobs:
+        print(f"recovered {len(service.recovered_jobs)} unfinished "
+              "job(s) from the journal: "
+              f"{', '.join(service.recovered_jobs)}",
               file=sys.stderr, flush=True)
-        run_gateway(
-            host=args.host, port=args.port, service=service,
-            tenants=tenants, max_pending=args.max_pending,
-            max_connections=args.max_connections,
-            drain_grace=args.drain_grace,
-        )
-        return 0
-    server = make_server(
-        host=args.host,
-        port=args.port,
-        tenants=tenants,
-        max_pending=args.max_pending,
-        **service_kwargs,
+    for error in service.recovery_errors:
+        print(f"journal recovery skipped an entry: {error}",
+              file=sys.stderr, flush=True)
+    mode = " multi-tenant" if tenants is not None else ""
+
+    def announce(gateway) -> None:
+        print(f"serving{mode} on http://{args.host}:{gateway.port} "
+              f"({args.workers} {args.backend} worker(s); SSE at "
+              "/jobs/<id>/events/stream; POST /shutdown, SIGTERM or "
+              "Ctrl-C to drain)",
+              file=sys.stderr, flush=True)
+
+    run_gateway(
+        host=args.host, port=args.port, service=service,
+        tenants=tenants, max_pending=args.max_pending,
+        max_connections=args.max_connections,
+        drain_grace=args.drain_grace, on_start=announce,
     )
-    host, port = server.server_address[:2]
-    report_recovery(server.service)
-    print(f"serving{mode} on http://{host}:{port} "
-          f"({args.workers} {args.backend} worker(s); "
-          "POST /shutdown or Ctrl-C to stop)",
-          file=sys.stderr, flush=True)
-    run_server(server)
     return 0
 
 

@@ -1,31 +1,16 @@
-"""Asyncio HTTP/1.1 gateway: streaming, multi-tenant service front end.
+"""Asyncio HTTP/1.1 gateway: the service's one HTTP front end.
 
-The sync :mod:`repro.service.http` server spends one thread per
-connection, which caps it at a few dozen clients and makes "wait for
-the next event" mean client-side polling.  This gateway serves the
-same JSON wire surface from a single ``asyncio`` event loop (stdlib
-only -- no third-party dependency), so hundreds of concurrent clients
-can hold connections open while events are *pushed* to them:
-
-=========  =====================================  ======================
-Method     Path                                   Meaning
-=========  =====================================  ======================
-GET        ``/health``                            liveness + job counts
-GET        ``/metrics``                           JSON counters/gauges
-POST       ``/jobs``                              submit (tenant-gated)
-GET        ``/jobs``                              list job summaries
-GET        ``/jobs/<id>``                         one job summary
-POST       ``/jobs/<id>/cancel``                  checkpointing cancel
-GET        ``/jobs/<id>/events``                  event page; add
-                                                  ``?since=N&wait=S``
-                                                  to long-poll
-GET        ``/jobs/<id>/events/stream``           Server-Sent Events
-GET        ``/jobs/<id>/result``                  canonical result bytes
-POST       ``/shutdown``                          graceful drain
-POST       ``/agents`` (+ the whole family)       federation protocol,
-                                                  identical to the sync
-                                                  server
-=========  =====================================  ======================
+``repro serve`` fronts one :class:`~repro.service.SearchService` with
+a :class:`Gateway`: a single ``asyncio`` event loop (stdlib only -- no
+third-party dependency), so hundreds of concurrent clients can hold
+connections open while events are *pushed* to them.  The whole wire
+surface is :attr:`Gateway.ROUTES` -- one row per route (submit, list,
+status, cancel, event pages with ``?since=N&wait=S`` long-poll, a
+Server-Sent Events stream, canonical result bytes, ``/health``,
+``/metrics``, ``/shutdown`` and the ``/agents`` federation protocol
+spoken by :class:`~repro.service.agent.WorkerAgent`).  ``/result``
+serves the result store's canonical bytes verbatim, so two
+submissions of an identical plan receive byte-identical bodies.
 
 Event delivery is push-based end to end: the service's
 :meth:`~repro.service.SearchService.add_job_listener` hook fires on
@@ -48,15 +33,19 @@ frame a client saw.  Comment heartbeats (``: ping``) flow during quiet
 stretches; a terminal job ends the stream with an ``event: end`` frame
 carrying the final state.
 
-Admission is shared with the sync server
-(:func:`repro.service.http.admit_submission`): API-key tenancy, quotas
+Admission (:func:`admit_submission`) applies API-key tenancy, quotas
 (429 + ``Retry-After``), fair-share priority weighting, and bounded
 accept-queue backpressure (503).  ``max_connections`` additionally
-caps open sockets (503 at accept).  On SIGTERM or ``POST /shutdown``
-the gateway *drains*: the listener closes, streams end with a final
-frame, running jobs finish (or are checkpoint-cancelled after
-``drain_grace`` seconds), and the service shuts down -- flushing the
-job journal -- before the process exits.
+caps open sockets (503 at accept).  Request bodies beyond
+:data:`MAX_BODY_BYTES` are refused with 413 before they are read, and
+a client stalling mid-body past :data:`REQUEST_TIMEOUT_SECONDS` gets
+408.
+
+On SIGTERM, Ctrl-C or ``POST /shutdown`` the gateway *drains*: the
+listener closes, streams end with a final frame, running jobs finish
+(or are checkpoint-cancelled after ``drain_grace`` seconds; ``0``
+cancels them at once), and the service shuts down -- flushing the job
+journal -- before the process exits.
 """
 
 from __future__ import annotations
@@ -67,24 +56,14 @@ import json
 import signal
 import threading
 from http import HTTPStatus
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.events import event_from_dict
-from repro.plans import RunPlan
-from repro.service.http import (
-    MAX_BODY_BYTES,
-    REQUEST_TIMEOUT_SECONDS,
-    BackpressureError,
-    BodyTooLargeError,
-    admit_submission,
-    events_payload,
-    health_payload,
-    require_tenant,
-    validate_content_length,
-)
+from repro.plans import RunPlan, plan_hash
 from repro.service.metrics import MetricsRegistry
 from repro.service.service import (
+    JobHandle,
     SearchService,
     StaleLeaseError,
     UnknownAgentError,
@@ -94,7 +73,19 @@ from repro.service.tenants import (
     QuotaExceededError,
     TenantAuthError,
     TenantRegistry,
+    api_key_from_headers,
+    check_quota,
+    fair_share_priority,
 )
+
+#: Largest request body the gateway accepts (413 beyond this).  Plans
+#: are small JSON documents; remote-agent result uploads are the
+#: biggest legitimate bodies and sit far below this.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Read timeout for one request head or body (408 when a client stalls
+#: mid-body; idle keep-alive connections are just closed).
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 #: Seconds of stream silence before an SSE comment heartbeat is sent
 #: (keeps proxies from timing the connection out and detects dead
@@ -112,6 +103,150 @@ _TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: Cap on request head (request line + headers) size, bytes.
 _MAX_HEADER_BYTES = 32 * 1024
+
+
+class BodyTooLargeError(RuntimeError):
+    """A request body exceeds :data:`MAX_BODY_BYTES` (HTTP 413).
+
+    Deliberately *not* a ``ValueError``: a malformed request maps
+    ``ValueError`` to 400, and an oversized body must surface as 413.
+    """
+
+
+class BackpressureError(RuntimeError):
+    """The service's accept queue is saturated (HTTP 503).
+
+    Attributes:
+        retry_after: suggested client wait before retrying, seconds.
+    """
+
+    def __init__(self, message: str, retry_after: float = 1.0):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+def validate_content_length(raw: str | None,
+                            limit: int = MAX_BODY_BYTES) -> int:
+    """Parse and bound a ``Content-Length`` header value.
+
+    Returns the length (0 for a missing header).  Raises
+    :class:`ValueError` for non-integer or negative values (HTTP 400)
+    and :class:`BodyTooLargeError` beyond ``limit`` (HTTP 413) --
+    *before* any body byte is read, so oversized uploads cost nothing.
+    """
+    if raw is None:
+        return 0
+    try:
+        length = int(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid Content-Length {raw!r}") from None
+    if length < 0:
+        raise ValueError(f"invalid Content-Length {raw!r}")
+    if length > limit:
+        raise BodyTooLargeError(
+            f"request body of {length} bytes exceeds the {limit}-byte limit"
+        )
+    return length
+
+
+def health_payload(service: SearchService) -> dict[str, Any]:
+    """The ``/health`` JSON document."""
+    states: dict[str, int] = {}
+    for handle in service.jobs():
+        state = handle.state
+        states[state] = states.get(state, 0) + 1
+    return {"status": "ok", "jobs": states,
+            "agents": len(service.agents()),
+            "store_entries": len(service.store)}
+
+
+def events_payload(handle: JobHandle, since: int) -> dict[str, Any]:
+    """The ``/jobs/<id>/events`` JSON page.
+
+    The state is read *before* the event log: the service appends a
+    job's final events and flips it to a terminal state under one lock
+    hold, so a page whose ``state`` is terminal is guaranteed to carry
+    the complete tail of the log.  Read the other way round, a client
+    could see ``"state": "done"`` with the completion events missing
+    and stop polling one page early.
+    """
+    state = handle.state
+    events = handle.events(since=since)
+    return {
+        "job_id": handle.job_id,
+        "state": state,
+        "since": since,
+        "next": since + len(events),
+        "events": [e.to_dict() for e in events],
+    }
+
+
+def admit_submission(
+    service: SearchService,
+    tenants: TenantRegistry | None,
+    headers: dict[str, str],
+    plan: RunPlan,
+    priority: int,
+    max_pending: int | None = None,
+) -> tuple[JobHandle, bool]:
+    """The one admission path every submission goes through.
+
+    Runs, in order: tenant authentication (:class:`TenantAuthError`
+    -> 401/403), dedup short-circuit (a plan the service already
+    tracks as queued/running/done coalesces regardless of quotas -- it
+    adds no load), per-tenant quota checks
+    (:class:`QuotaExceededError` -> 429), service-wide backpressure
+    (``max_pending`` queued jobs -> :class:`BackpressureError` ->
+    503), fair-share priority weighting, and finally
+    :meth:`SearchService.submit`.  Returns ``(handle, deduped)``,
+    where ``deduped`` means the service already knew this plan (the
+    wire field old clients rely on).
+    """
+    tenant = None
+    if tenants is not None:
+        tenant = tenants.authenticate(api_key_from_headers(headers))
+    tenant_name = None if tenant is None else tenant.name
+    existing = service.job_by_hash(plan_hash(plan))
+    if existing is not None and existing.state in ("queued", "running",
+                                                   "done"):
+        # Coalesce: the service hands back the job it already tracks,
+        # so this submission adds no load and bypasses quota checks.
+        return service.submit(plan, priority=priority,
+                              tenant=tenant_name), True
+    effective = priority
+    if tenant is not None:
+        load = service.tenant_load(tenant_name)
+        check_quota(tenant, load["queued"], load["running"])
+        effective = fair_share_priority(
+            priority, tenant.weight, load["queued"] + load["running"])
+    if max_pending is not None and service.queued_count() >= max_pending:
+        raise BackpressureError(
+            f"accept queue is full ({max_pending} queued jobs); "
+            "retry shortly"
+        )
+    handle = service.submit(plan, priority=effective, tenant=tenant_name)
+    return handle, existing is not None
+
+
+def require_tenant(tenants: TenantRegistry | None,
+                   headers: dict[str, str]) -> None:
+    """Authenticate a tenant-gated route when tenancy is enabled.
+
+    No-op without a registry (open mode).  Raises
+    :class:`TenantAuthError` subclasses for missing/unknown keys.
+    """
+    if tenants is not None:
+        tenants.authenticate(api_key_from_headers(headers))
+
+
+class _Request(NamedTuple):
+    """One parsed request, as the route handlers see it."""
+
+    method: str
+    path: str
+    query: str
+    headers: dict[str, str]
+    body: bytes
 
 
 class _HttpError(Exception):
@@ -347,22 +482,21 @@ class Gateway:
             request = await self._read_request(reader, writer)
             if request is None:
                 return
-            method, path, query, headers, body = request
             self.metrics.inc("requests")
             try:
-                close = await self._dispatch(
-                    method, path, query, headers, body, writer)
+                close = await self._dispatch(request, writer)
             except _HttpError as exc:
                 self._send_json(writer, exc.status, exc.payload,
                                 headers=exc.headers, close=exc.close)
                 close = exc.close
             await writer.drain()
-            if close or headers.get("connection", "").lower() == "close":
+            if (close or request.headers.get("connection", "").lower()
+                    == "close"):
                 return
 
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-    ) -> tuple[str, str, str, dict[str, str], bytes] | None:
+    ) -> _Request | None:
         """Read one request; None closes the connection silently."""
         try:
             head = await asyncio.wait_for(
@@ -386,8 +520,8 @@ class Gateway:
         try:
             length = validate_content_length(headers.get("content-length"))
         except BodyTooLargeError as exc:
-            # The body was never read: refuse and close, like the sync
-            # front end.
+            # The body was never read, so the connection is unusable
+            # for another request: refuse and close.
             self._send_json(writer, 413, {"error": str(exc)}, close=True)
             return None
         except ValueError as exc:
@@ -407,7 +541,7 @@ class Gateway:
             except (asyncio.IncompleteReadError, ConnectionError):
                 return None
         url = urlparse(target)
-        return method, unquote(url.path), url.query, headers, body
+        return _Request(method, unquote(url.path), url.query, headers, body)
 
     @staticmethod
     def _split_head(head: bytes) -> tuple[str, list[str]]:
@@ -436,19 +570,23 @@ class Gateway:
 
     # -- routing -------------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, query: str,
-                        headers: dict[str, str], body: bytes,
+    async def _dispatch(self, request: _Request,
                         writer: asyncio.StreamWriter) -> bool:
         """Route one request; returns True when the connection must close."""
-        parts = [p for p in path.split("/") if p]
+        if request.method not in ("GET", "POST"):
+            raise _HttpError(405, f"method {request.method} not allowed")
+        parts = [p for p in request.path.split("/") if p]
+        for method, pattern, handler, gated in self.ROUTES:
+            if method == request.method:
+                params = _match_route(pattern, parts)
+                if params is not None:
+                    break
+        else:
+            raise _HttpError(404, f"unknown path {request.path!r}")
         try:
-            if method == "GET":
-                return await self._dispatch_get(
-                    parts, path, query, headers, writer)
-            if method == "POST":
-                return await self._dispatch_post(
-                    parts, path, headers, body, writer)
-            raise _HttpError(405, f"method {method} not allowed")
+            if gated:
+                require_tenant(self.tenants, request.headers)
+            return bool(await handler(self, writer, request, **params))
         except (UnknownJobError, UnknownAgentError) as exc:
             raise _HttpError(404, str(exc)) from None
         except StaleLeaseError as exc:
@@ -466,79 +604,32 @@ class Gateway:
                 503, str(exc),
                 headers={"Retry-After": f"{exc.retry_after:g}"}) from None
 
-    async def _dispatch_get(self, parts: list[str], path: str, query: str,
-                            headers: dict[str, str],
-                            writer: asyncio.StreamWriter) -> bool:
-        service = self.service
-        if parts == ["health"]:
-            self._send_json(writer, 200, health_payload(service))
-        elif parts == ["metrics"]:
-            self._send_json(writer, 200, self.metrics.snapshot())
-        elif parts == ["jobs"]:
-            require_tenant(self.tenants, headers)
-            self._send_json(
-                writer, 200, {"jobs": [h.info() for h in service.jobs()]})
-        elif len(parts) == 2 and parts[0] == "jobs":
-            require_tenant(self.tenants, headers)
-            self._send_json(writer, 200, service.job(parts[1]).info())
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-            require_tenant(self.tenants, headers)
-            await self._get_events(writer, parts[1], query)
-        elif (len(parts) == 4 and parts[0] == "jobs"
-                and parts[2] == "events" and parts[3] == "stream"):
-            require_tenant(self.tenants, headers)
-            await self._stream_events(writer, parts[1], query)
-            return True  # the stream consumed the connection
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-            require_tenant(self.tenants, headers)
-            await self._get_result(writer, parts[1])
-        elif parts == ["agents"]:
-            self._send_json(writer, 200, {"agents": service.agents()})
-        else:
-            raise _HttpError(404, f"unknown path {path!r}")
-        return False
-
-    async def _dispatch_post(self, parts: list[str], path: str,
-                             headers: dict[str, str], body: bytes,
-                             writer: asyncio.StreamWriter) -> bool:
-        service = self.service
-        if parts == ["jobs"]:
-            await self._post_job(writer, headers, body)
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-            require_tenant(self.tenants, headers)
-            job_id = parts[1]
-            state = await asyncio.to_thread(service.cancel, job_id)
-            self._send_json(
-                writer, 200, service.job(job_id).info() | {"state": state})
-        elif parts == ["agents"]:
-            self._post_register(writer, body)
-        elif (len(parts) == 3 and parts[0] == "agents"
-                and parts[2] in ("heartbeat", "claim", "leave")):
-            await self._post_agent_verb(writer, parts[1], parts[2], body)
-        elif (len(parts) == 5 and parts[0] == "agents"
-                and parts[2] == "jobs"
-                and parts[4] in ("events", "complete")):
-            await self._post_agent_job(
-                writer, parts[1], parts[3], parts[4], body)
-        elif parts == ["shutdown"]:
-            require_tenant(self.tenants, headers)
-            # Reply first, then drain: the flush must win the race
-            # against the listener closing.
-            self._send_json(writer, 200, {"status": "shutting down"},
-                            close=True)
-            await writer.drain()
-            self.request_drain()
-            return True
-        else:
-            raise _HttpError(404, f"unknown path {path!r}")
-        return False
-
     # -- route bodies --------------------------------------------------------
+    #
+    # Each takes (writer, request, **path placeholders) and returns True
+    # only when it consumed the connection.
+
+    async def _get_health(self, writer: asyncio.StreamWriter,
+                          request: _Request) -> None:
+        self._send_json(writer, 200, health_payload(self.service))
+
+    async def _get_metrics(self, writer: asyncio.StreamWriter,
+                           request: _Request) -> None:
+        self._send_json(writer, 200, self.metrics.snapshot())
+
+    async def _list_jobs(self, writer: asyncio.StreamWriter,
+                         request: _Request) -> None:
+        self._send_json(
+            writer, 200, {"jobs": [h.info() for h in self.service.jobs()]})
+
+    async def _get_job(self, writer: asyncio.StreamWriter,
+                       request: _Request, job: str) -> None:
+        self._send_json(writer, 200, self.service.job(job).info())
 
     async def _post_job(self, writer: asyncio.StreamWriter,
-                        headers: dict[str, str], body: bytes) -> None:
+                        request: _Request) -> None:
         try:
-            doc = _parse_json_object(body)
+            doc = _parse_json_object(request.body)
             plan = RunPlan.from_dict(doc["plan"])
             priority = int(doc.get("priority", 0))
         except (KeyError, TypeError, ValueError) as exc:
@@ -550,15 +641,49 @@ class Gateway:
         # submit touches the journal and the result store (disk):
         # off the loop it goes.
         handle, deduped = await asyncio.to_thread(
-            admit_submission, self.service, self.tenants, headers,
+            admit_submission, self.service, self.tenants, request.headers,
             plan, priority, self.max_pending)
         self.metrics.inc("submissions")
         self._send_json(writer, 200, handle.info() | {"deduped": deduped})
 
-    def _post_register(self, writer: asyncio.StreamWriter,
-                       body: bytes) -> None:
+    async def _cancel_job(self, writer: asyncio.StreamWriter,
+                          request: _Request, job: str) -> None:
+        state = await asyncio.to_thread(self.service.cancel, job)
+        self._send_json(
+            writer, 200, self.service.job(job).info() | {"state": state})
+
+    async def _get_result(self, writer: asyncio.StreamWriter,
+                          request: _Request, job: str) -> None:
+        handle = self.service.job(job)
+        state = handle.state
+        if state != "done":
+            raise _HttpError(409, f"job {job} is {state}, not done",
+                             state=state)
+        blob = await asyncio.to_thread(handle.stored_result_bytes)
+        if blob is None:
+            raise _HttpError(
+                406, f"workload {handle.plan.workload!r} has no result "
+                "codec; inspect the job in-process instead")
+        writer.write(_render(200, blob))
+
+    async def _shutdown(self, writer: asyncio.StreamWriter,
+                        request: _Request) -> bool:
+        # Reply first, then drain: the flush must win the race against
+        # the listener closing.
+        self._send_json(writer, 200, {"status": "shutting down"},
+                        close=True)
+        await writer.drain()
+        self.request_drain()
+        return True
+
+    async def _list_agents(self, writer: asyncio.StreamWriter,
+                           request: _Request) -> None:
+        self._send_json(writer, 200, {"agents": self.service.agents()})
+
+    async def _register_agent(self, writer: asyncio.StreamWriter,
+                              request: _Request) -> None:
         try:
-            doc = _parse_json_object(body)
+            doc = _parse_json_object(request.body)
             name = doc.get("name")
             agent_id = doc.get("agent_id")
             for value in (name, agent_id):
@@ -570,75 +695,62 @@ class Gateway:
             writer, 200,
             self.service.register_agent(name=name, agent_id=agent_id))
 
-    async def _post_agent_verb(self, writer: asyncio.StreamWriter,
-                               agent_id: str, verb: str,
-                               body: bytes) -> None:
-        service = self.service
-        if verb == "claim":
-            claim = await asyncio.to_thread(service.claim_job, agent_id)
-            self._send_json(writer, 200, {"job": claim})
-            return
-        if verb == "leave":
-            service.deregister_agent(agent_id)
-            self._send_json(writer, 200, {"status": "left"})
-            return
+    async def _agent_heartbeat(self, writer: asyncio.StreamWriter,
+                               request: _Request, agent: str) -> None:
         try:
-            doc = _parse_json_object(body)
-            jobs = doc.get("jobs", [])
+            jobs = _parse_json_object(request.body).get("jobs", [])
             if not isinstance(jobs, list):
                 raise ValueError("'jobs' must be a list of job ids")
         except (TypeError, ValueError) as exc:
             raise _HttpError(400, f"bad heartbeat: {exc}") from None
         self._send_json(
             writer, 200,
-            service.heartbeat(agent_id, [str(j) for j in jobs]))
+            self.service.heartbeat(agent, [str(j) for j in jobs]))
 
-    async def _post_agent_job(self, writer: asyncio.StreamWriter,
-                              agent_id: str, job_id: str, verb: str,
-                              body: bytes) -> None:
-        service = self.service
+    async def _agent_claim(self, writer: asyncio.StreamWriter,
+                           request: _Request, agent: str) -> None:
+        claim = await asyncio.to_thread(self.service.claim_job, agent)
+        self._send_json(writer, 200, {"job": claim})
+
+    async def _agent_leave(self, writer: asyncio.StreamWriter,
+                           request: _Request, agent: str) -> None:
+        self.service.deregister_agent(agent)
+        self._send_json(writer, 200, {"status": "left"})
+
+    async def _agent_events(self, writer: asyncio.StreamWriter,
+                            request: _Request, agent: str, job: str) -> None:
         try:
-            doc = _parse_json_object(body)
-            if verb == "events":
-                events = [event_from_dict(item) for item in doc["events"]]
-            else:
-                outcome = doc["outcome"]
-                if outcome not in ("done", "failed", "cancelled"):
-                    raise ValueError(f"unknown outcome {outcome!r}")
+            events = [event_from_dict(item) for item
+                      in _parse_json_object(request.body)["events"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise _HttpError(400, f"bad upload: {exc}") from None
-        if verb == "events":
-            recorded = service.record_agent_events(agent_id, job_id, events)
-            self._send_json(writer, 200, {"recorded": recorded})
-            return
+        recorded = self.service.record_agent_events(agent, job, events)
+        self._send_json(writer, 200, {"recorded": recorded})
+
+    async def _agent_complete(self, writer: asyncio.StreamWriter,
+                              request: _Request, agent: str,
+                              job: str) -> None:
+        try:
+            doc = _parse_json_object(request.body)
+            outcome = doc["outcome"]
+            if outcome not in ("done", "failed", "cancelled"):
+                raise ValueError(f"unknown outcome {outcome!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _HttpError(400, f"bad upload: {exc}") from None
         info = await asyncio.to_thread(
-            service.complete_job, agent_id, job_id, outcome,
+            self.service.complete_job, agent, job, outcome,
             doc.get("payload"), doc.get("message"),
             int(doc.get("completed", 0)))
         self._send_json(writer, 200, info)
 
-    async def _get_result(self, writer: asyncio.StreamWriter,
-                          job_id: str) -> None:
-        handle = self.service.job(job_id)
-        state = handle.state
-        if state != "done":
-            raise _HttpError(409, f"job {job_id} is {state}, not done",
-                             state=state)
-        blob = await asyncio.to_thread(handle.stored_result_bytes)
-        if blob is None:
-            raise _HttpError(
-                406, f"workload {handle.plan.workload!r} has no result "
-                "codec; inspect the job in-process instead")
-        writer.write(_render(200, blob))
-
     # -- event delivery ------------------------------------------------------
 
     async def _get_events(self, writer: asyncio.StreamWriter,
-                          job_id: str, query: str) -> None:
+                          request: _Request, job: str) -> None:
         """``/jobs/<id>/events``: immediate page, or long-poll with
         ``wait=S``."""
-        handle = self.service.job(job_id)
-        params = parse_qs(query)
+        handle = self.service.job(job)
+        params = parse_qs(request.query)
         try:
             since = int(params.get("since", ["0"])[0])
             wait = float(params.get("wait", ["0"])[0])
@@ -649,7 +761,7 @@ class Gateway:
             self.metrics.inc("long_polls")
         assert self._loop is not None and self._fanout is not None
         deadline = self._loop.time() + wait
-        with self._fanout.watcher(job_id) as wakeup:
+        with self._fanout.watcher(job) as wakeup:
             while True:
                 wakeup.clear()
                 payload = events_payload(handle, since)
@@ -662,11 +774,12 @@ class Gateway:
                     await asyncio.wait_for(wakeup.wait(), remaining)
 
     async def _stream_events(self, writer: asyncio.StreamWriter,
-                             job_id: str, query: str) -> None:
+                             request: _Request, job: str) -> bool:
         """``/jobs/<id>/events/stream``: Server-Sent Events until the
-        job is terminal (or the gateway drains)."""
-        handle = self.service.job(job_id)  # 404 before headers go out
-        params = parse_qs(query)
+        job is terminal (or the gateway drains); consumes the
+        connection."""
+        handle = self.service.job(job)  # 404 before headers go out
+        params = parse_qs(request.query)
         try:
             cursor = int(params.get("since", ["0"])[0])
         except ValueError as exc:
@@ -680,7 +793,7 @@ class Gateway:
                 b"Content-Type: text/event-stream\r\n"
                 b"Cache-Control: no-cache\r\n"
                 b"Connection: close\r\n\r\n")
-            with self._fanout.watcher(job_id) as wakeup:
+            with self._fanout.watcher(job) as wakeup:
                 while True:
                     wakeup.clear()
                     # State *before* events: the service appends the
@@ -708,7 +821,7 @@ class Gateway:
                             {"state": state, "next": cursor,
                              "reason": reason}))
                         await writer.drain()
-                        return
+                        return True
                     try:
                         await asyncio.wait_for(
                             wakeup.wait(), SSE_HEARTBEAT_SECONDS)
@@ -726,6 +839,50 @@ class Gateway:
                    close: bool = False) -> None:
         writer.write(_render(status, json.dumps(payload).encode(),
                              headers=headers, close=close))
+
+    #: The whole HTTP surface, one row per route: ``(method, path
+    #: pattern, handler, tenant-gated?)``.  A ``{job}``/``{agent}``
+    #: segment matches any one path segment and reaches the handler as
+    #: that keyword argument.  ``POST /jobs`` is not gated here because
+    #: :func:`admit_submission` authenticates it once the body parses.
+    ROUTES = (
+        ("GET", "/health", _get_health, False),
+        ("GET", "/metrics", _get_metrics, False),
+        ("GET", "/jobs", _list_jobs, True),
+        ("POST", "/jobs", _post_job, False),
+        ("GET", "/jobs/{job}", _get_job, True),
+        ("POST", "/jobs/{job}/cancel", _cancel_job, True),
+        ("GET", "/jobs/{job}/events", _get_events, True),
+        ("GET", "/jobs/{job}/events/stream", _stream_events, True),
+        ("GET", "/jobs/{job}/result", _get_result, True),
+        ("POST", "/shutdown", _shutdown, True),
+        ("GET", "/agents", _list_agents, False),
+        ("POST", "/agents", _register_agent, False),
+        ("POST", "/agents/{agent}/heartbeat", _agent_heartbeat, False),
+        ("POST", "/agents/{agent}/claim", _agent_claim, False),
+        ("POST", "/agents/{agent}/leave", _agent_leave, False),
+        ("POST", "/agents/{agent}/jobs/{job}/events", _agent_events, False),
+        ("POST", "/agents/{agent}/jobs/{job}/complete", _agent_complete,
+         False),
+    )
+
+
+def _match_route(pattern: str, parts: list[str]) -> dict[str, str] | None:
+    """Match request path segments against one route pattern.
+
+    Returns the ``{placeholder}`` captures (empty for a literal route)
+    or None when the path does not fit.
+    """
+    wanted = pattern.strip("/").split("/")
+    if len(wanted) != len(parts):
+        return None
+    params: dict[str, str] = {}
+    for want, got in zip(wanted, parts):
+        if want.startswith("{"):
+            params[want[1:-1]] = got
+        elif want != got:
+            return None
+    return params
 
 
 def _render(status: int, blob: bytes,
@@ -852,15 +1009,17 @@ def run_gateway(
     max_pending: int | None = None,
     max_connections: int | None = None,
     drain_grace: float | None = None,
+    on_start: Callable[[Gateway], None] | None = None,
     **service_kwargs: Any,
 ) -> None:
-    """Serve the async gateway until SIGTERM/SIGINT or ``/shutdown``.
+    """Serve the gateway until SIGTERM/SIGINT or ``/shutdown``.
 
-    The blocking entry point behind ``repro serve --async``: builds a
+    The blocking entry point behind ``repro serve``: builds a
     :class:`SearchService` from ``service_kwargs`` when none is
     passed, installs signal handlers that trigger a graceful drain,
     and returns only after the drain has flushed the journal and shut
-    the service down.
+    the service down.  ``on_start`` is called with the gateway once
+    it is bound (so ``port=0`` callers can learn :attr:`Gateway.port`).
     """
     if service is None:
         service = SearchService(**service_kwargs)
@@ -870,6 +1029,8 @@ def run_gateway(
             service, tenants=tenants, max_pending=max_pending,
             max_connections=max_connections, drain_grace=drain_grace)
         await gateway.start(host, port)
+        if on_start is not None:
+            on_start(gateway)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError):

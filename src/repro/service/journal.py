@@ -259,67 +259,21 @@ class JobJournal:
         A job is pending when its *last* recorded transition is
         non-terminal (``queued``, ``running``, ``leased`` or
         ``lease-expired``) -- i.e. the service died before the job
-        reached a terminal state.  Results come back in first-seen
-        order (the original submission order), each carrying the most
-        recent plan document and priority recorded for its hash, plus
-        the lease holder when the last transition was a claim.
-
-        Defensive by design: the journal is replayed after crashes, so
-        entries missing expected keys (a ``queued`` without a plan, a
-        ``leased`` without an agent) are skipped or degraded, never
-        raised on.
+        reached a terminal state -- and some ``queued`` entry recorded
+        its plan.  Results come back in first-seen order (the original
+        submission order), each carrying the most recent plan document,
+        priority and tenant recorded for its hash, plus the lease
+        holder when the last transition was a claim.  Hand-corrupted
+        entries degrade as :meth:`_fold` describes; none raises.
         """
-        last_state: dict[str, str] = {}
-        plans: dict[str, dict[str, Any]] = {}
-        priorities: dict[str, int] = {}
-        agents: dict[str, str | None] = {}
-        leases: dict[str, float | None] = {}
-        tenants: dict[str, str | None] = {}
-        order: list[str] = []
-        for entry in entries:
-            digest = entry.get("hash")
-            op = entry.get("op")
-            if digest is None or op not in JOURNAL_OPS:
-                continue
-            if op == "queued" and not isinstance(entry.get("plan"), dict):
-                continue  # a submission without a plan cannot be rebuilt
-            if digest not in last_state:
-                order.append(digest)
-            last_state[digest] = op
-            if op == "queued":
-                plans[digest] = entry["plan"]
-                tenant = entry.get("tenant")
-                tenants[digest] = (
-                    tenant if isinstance(tenant, str) and tenant else None
-                )
-                try:
-                    priorities[digest] = int(entry.get("priority", 0))
-                except (TypeError, ValueError):
-                    priorities[digest] = 0
-            agent = entry.get("agent")
-            agents[digest] = agent if op == "leased" else None
-            lease = entry.get("lease_seconds")
-            leases[digest] = (
-                float(lease) if op == "leased"
-                and isinstance(lease, (int, float)) else None
-            )
-        pending: list[PendingJob] = []
-        for digest in order:
-            if last_state[digest] not in _RECOVERABLE_STATES:
-                continue
-            if digest not in plans:
-                continue  # state marker without a recorded submission
-            agent = agents.get(digest)
-            pending.append(PendingJob(
-                plan_doc=plans[digest],
-                plan_hash=digest,
-                priority=priorities[digest],
-                last_state=last_state[digest],
-                agent=agent if isinstance(agent, str) and agent else None,
-                lease_seconds=leases.get(digest),
-                tenant=tenants.get(digest),
-            ))
-        return pending
+        return [
+            PendingJob(plan_doc=job.plan, plan_hash=digest,
+                       priority=job.priority, last_state=job.state,
+                       agent=job.agent, lease_seconds=job.lease_seconds,
+                       tenant=job.tenant)
+            for digest, job in JobJournal._fold(entries).items()
+            if job.state in _RECOVERABLE_STATES and job.plan is not None
+        ]
 
     @staticmethod
     def live_jobs(
@@ -332,28 +286,75 @@ class JobJournal:
         coordinator will re-queue it; a leased agent may upload its
         result), so every store entry its plan references must
         survive collection.  Unlike :meth:`pending_jobs` this keeps
-        jobs whose journal never captured a parseable plan document
+        jobs whose journal never captured a plan document
         (``plan_doc`` is then ``None``): their whole-plan hash is
         still live even though their shards cannot be enumerated --
         GC must err toward keeping.  Order is first-seen submission
         order.
         """
-        last_state: dict[str, str] = {}
-        plans: dict[str, dict[str, Any] | None] = {}
-        order: list[str] = []
-        for entry in entries:
-            digest = entry.get("hash")
-            op = entry.get("op")
-            if not isinstance(digest, str) or op not in JOURNAL_OPS:
-                continue
-            if digest not in last_state:
-                order.append(digest)
-            last_state[digest] = op
-            if op == "queued":
-                plan = entry.get("plan")
-                plans[digest] = plan if isinstance(plan, dict) else None
         return [
-            (digest, plans.get(digest))
-            for digest in order
-            if last_state[digest] in _RECOVERABLE_STATES
+            (digest, job.plan)
+            for digest, job in JobJournal._fold(entries).items()
+            if job.state in _RECOVERABLE_STATES
         ]
+
+    @staticmethod
+    def _fold(entries: list[dict[str, Any]]) -> dict[str, "_JobFold"]:
+        """One pass: each job's last recorded state, in first-seen order.
+
+        Entries with an unknown ``op`` are skipped.  Two corruptions
+        the writer never produces degrade toward keeping and
+        re-queuing rather than dropping the job:
+
+        * a ``hash`` that is not a string keys the job by its ``str()``
+          (recovery resubmits the plan, which re-derives the real
+          hash);
+        * a ``queued`` entry without a plan object still counts as the
+          job's transition to ``queued``, but the job keeps the plan,
+          priority and tenant of its latest ``queued`` entry that did
+          carry a plan.
+        """
+        jobs: dict[str, _JobFold] = {}
+        for entry in entries:
+            op = entry.get("op")
+            if op not in JOURNAL_OPS:
+                continue
+            digest = entry.get("hash")
+            if not isinstance(digest, str):
+                digest = str(digest)
+            job = jobs.get(digest)
+            if job is None:
+                job = jobs[digest] = _JobFold(op)
+            job.state = op
+            plan = entry.get("plan")
+            if op == "queued" and isinstance(plan, dict):
+                job.plan = plan
+                tenant = entry.get("tenant")
+                job.tenant = (tenant if isinstance(tenant, str) and tenant
+                              else None)
+                try:
+                    job.priority = int(entry.get("priority", 0))
+                except (TypeError, ValueError):
+                    job.priority = 0
+            if op == "leased":
+                agent = entry.get("agent")
+                lease = entry.get("lease_seconds")
+                job.agent = agent if isinstance(agent, str) and agent else None
+                job.lease_seconds = (float(lease)
+                                     if isinstance(lease, (int, float))
+                                     else None)
+            else:
+                job.agent = job.lease_seconds = None
+        return jobs
+
+
+@dataclass
+class _JobFold:
+    """One job's accumulated journal state (see :meth:`JobJournal._fold`)."""
+
+    state: str
+    plan: dict[str, Any] | None = None
+    priority: int = 0
+    tenant: str | None = None
+    agent: str | None = None
+    lease_seconds: float | None = None

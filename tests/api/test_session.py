@@ -178,18 +178,13 @@ class TestEvaluatorOverride:
 
 
 class TestDeprecationShims:
-    def test_legacy_aliases_warn_and_still_work(self, tmp_path):
-        from repro.experiments.runner import run_paired_search
-        from repro.fpga.device import PYNQ_Z1
-        from repro.fpga.platform import Platform
+    def test_removed_aliases_are_type_errors(self, tmp_path):
+        from repro.experiments.table1 import run_table1
 
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir"):
-            outcome = run_paired_search(
-                "mnist", Platform.single(PYNQ_Z1), specs_ms=[5.0],
-                trials=4, campaign_dir=str(tmp_path),
-            )
-        assert len(outcome.nas.trials) == 4
-        assert list(tmp_path.glob("*.checkpoint.json"))
+        with pytest.raises(TypeError, match="campaign_dir"):
+            run_table1(trials=3, campaign_dir=str(tmp_path))
+        with pytest.raises(TypeError, match="parallel_workers"):
+            run_table1(trials=3, parallel_workers=2)
 
     def test_canonical_kwargs_do_not_warn(self, tmp_path, recwarn):
         from repro.experiments.table1 import run_table1

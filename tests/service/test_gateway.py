@@ -11,7 +11,6 @@ import pytest
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayRunner
-from repro.service.http import make_server
 from repro.service.journal import JobJournal
 from repro.service.service import SearchService
 from repro.service.tenants import Tenant, TenantRegistry
@@ -40,7 +39,7 @@ def get_json(url, timeout=10):
 
 
 class TestWireParity:
-    """The gateway answers byte-for-byte like the sync front end."""
+    """The gateway serves the JSON wire surface clients rely on."""
 
     def test_submit_wait_result_roundtrip(self, live_gateway):
         client = ServiceClient(live_gateway.base_url)
@@ -158,27 +157,6 @@ class TestEventDelivery:
         assert page["state"] == "done"
         assert page["events"] == []
 
-    def test_stream_events_falls_back_to_polling_on_sync_servers(
-            self, tmp_path):
-        server = make_server(port=0, workers=1,
-                             store_dir=str(tmp_path / "store"))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            client = ServiceClient(f"http://{host}:{port}")
-            info = client.submit(search_plan(seed=15))
-            frames = list(client.stream_events(info["job_id"]))
-            tags = [f["event"] for f in frames]
-            assert "job-completed" in tags
-            assert tags[-1] == "end"
-            assert frames[-1]["data"]["state"] == "done"
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.shutdown(wait=True, cancel_running=True)
-            thread.join(timeout=10)
-
 
 class TestAdmission:
     def test_backpressure_is_503_with_retry_after(self, tmp_path):
@@ -269,15 +247,15 @@ class TestGracefulDrain:
             async_bytes = client.result_bytes(info["job_id"])
         finally:
             runner.stop()
-        sync_service = SearchService(
-            workers=1, store_dir=str(tmp_path / "sync-store"))
+        local_service = SearchService(
+            workers=1, store_dir=str(tmp_path / "local-store"))
         try:
-            handle = sync_service.submit(plan)
+            handle = local_service.submit(plan)
             handle.wait(timeout=120)
-            sync_bytes = handle.stored_result_bytes()
+            local_bytes = handle.stored_result_bytes()
         finally:
-            sync_service.shutdown(wait=True)
-        assert async_bytes == sync_bytes
+            local_service.shutdown(wait=True)
+        assert async_bytes == local_bytes
 
     def test_sse_streams_end_with_a_drain_frame(self, tmp_path):
         runner = GatewayRunner(workers=1,

@@ -5,21 +5,21 @@
 no keep-alive, ``GET /jobs/<id>/events?since=N`` with no ``wait``
 parameter, and a submit -> poll -> result loop.  The test drives that
 exact session against the asyncio gateway and pins the observable
-transcript -- response schemas, event tags, and the stored result
-bytes -- to what a sync-server run of the same plan produces.
+transcript -- terminal state, plan hash, event tags and the stored
+result bytes -- to what an in-process :class:`SearchService` run of
+the same plan produces.
 
 If a gateway change breaks an old deployed client, this file is where
 it fails.
 """
 
 import json
-import threading
 import time
 import urllib.request
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.gateway import GatewayRunner
-from repro.service.http import make_server
+from repro.service.service import SearchService
 
 
 def search_plan(seed=0, trials=4):
@@ -93,34 +93,34 @@ class _LegacyClient:
         }
 
 
-def test_legacy_session_is_identical_against_gateway_and_sync_server(
+def test_legacy_session_is_identical_against_gateway_and_service(
         tmp_path):
     plan = search_plan(seed=77)
 
-    server = make_server(port=0, workers=1,
-                         store_dir=str(tmp_path / "sync-store"))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    service = SearchService(workers=1, store_dir=str(tmp_path / "local"))
     try:
-        sync_run = _LegacyClient(f"http://{host}:{port}").run_session(plan)
+        handle = service.submit(plan)
+        handle.wait(timeout=120)
+        local_run = {
+            "final_state": handle.state,
+            "plan_hash": handle.plan_hash,
+            "event_tags": [e.type_tag for e in handle.events()],
+            "result": handle.stored_result_bytes(),
+        }
     finally:
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=10)
+        service.shutdown(wait=True)
 
     with GatewayRunner(workers=1,
                        store_dir=str(tmp_path / "gw-store")) as runner:
         gateway_run = _LegacyClient(runner.base_url).run_session(plan)
 
-    # The submit response schema, terminal state, plan hash, event-tag
-    # sequence, and the stored result BYTES are all pinned.
-    assert gateway_run["submit_keys"] == sync_run["submit_keys"]
-    assert gateway_run["final_state"] == sync_run["final_state"] == "done"
-    assert gateway_run["plan_hash"] == sync_run["plan_hash"]
-    assert gateway_run["event_tags"] == sync_run["event_tags"]
-    assert gateway_run["result"] == sync_run["result"]
+    # Terminal state, plan hash, event-tag sequence, and the stored
+    # result BYTES are all pinned (the submit schema is pinned
+    # literally by the snapshot test below).
+    assert gateway_run["final_state"] == local_run["final_state"] == "done"
+    assert gateway_run["plan_hash"] == local_run["plan_hash"]
+    assert gateway_run["event_tags"] == local_run["event_tags"]
+    assert gateway_run["result"] == local_run["result"]
 
 
 def test_legacy_session_schema_snapshot(tmp_path):

@@ -1,14 +1,8 @@
-"""HTTP error paths, parametrized over the sync and async front ends.
-
-Every test here runs twice -- once against the threaded
-``http.server`` front end and once against the asyncio gateway -- so
-the two surfaces cannot drift apart on status codes, bodies, or
-headers for the failure modes clients actually hit.
-"""
+"""HTTP error paths of the gateway: status codes, bodies and headers
+for the failure modes clients actually hit."""
 
 import http.client
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -17,11 +11,8 @@ import pytest
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient
-from repro.service.gateway import GatewayRunner
-from repro.service.http import MAX_BODY_BYTES, make_server
+from repro.service.gateway import MAX_BODY_BYTES, GatewayRunner
 from repro.service.tenants import Tenant, TenantRegistry
-
-FRONT_ENDS = ("sync", "async")
 
 
 def search_plan(seed=0, trials=2):
@@ -33,56 +24,25 @@ def search_plan(seed=0, trials=2):
     )
 
 
-class _FrontEnd:
-    """A live server of either flavour, with a uniform teardown."""
-
-    def __init__(self, kind, tmp_path, tenants=None, workers=1):
-        self.kind = kind
-        if kind == "async":
-            self._runner = GatewayRunner(
-                workers=workers, tenants=tenants,
-                checkpoint_dir=str(tmp_path / "ckpt")).start()
-            self.base_url = self._runner.base_url
-        else:
-            self._server = make_server(
-                port=0, workers=workers, tenants=tenants,
-                checkpoint_dir=str(tmp_path / "ckpt"))
-            self._thread = threading.Thread(
-                target=self._server.serve_forever, daemon=True)
-            self._thread.start()
-            host, port = self._server.server_address[:2]
-            self.base_url = f"http://{host}:{port}"
-        self.host, _, port = self.base_url.rpartition("//")[2].partition(":")
-        self.port = int(port)
-
-    def stop(self):
-        if self.kind == "async":
-            self._runner.stop()
-        else:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server.service.shutdown(wait=True, cancel_running=True)
-            self._thread.join(timeout=10)
+@pytest.fixture()
+def open_front_end(tmp_path):
+    """A gateway with no tenant registry (open access)."""
+    with GatewayRunner(workers=1, checkpoint_dir=str(tmp_path / "ckpt"),
+                       drain_grace=0) as runner:
+        yield runner
 
 
-@pytest.fixture(params=FRONT_ENDS)
-def open_front_end(request, tmp_path):
-    """A front end with no tenant registry (open access)."""
-    front = _FrontEnd(request.param, tmp_path)
-    yield front
-    front.stop()
-
-
-@pytest.fixture(params=FRONT_ENDS)
-def tenant_front_end(request, tmp_path):
-    """A front end requiring API keys, with tight quotas on 'acme'."""
+@pytest.fixture()
+def tenant_front_end(tmp_path):
+    """A gateway requiring API keys, with tight quotas on 'acme'."""
     registry = TenantRegistry([
         Tenant(name="acme", api_key="k-acme", max_running=1, max_queued=2),
         Tenant(name="beta", api_key="k-beta"),
     ])
-    front = _FrontEnd(request.param, tmp_path, tenants=registry)
-    yield front
-    front.stop()
+    with GatewayRunner(workers=1, tenants=registry,
+                       checkpoint_dir=str(tmp_path / "ckpt"),
+                       drain_grace=0) as runner:
+        yield runner
 
 
 def post(base_url, path, payload, headers=None):
@@ -135,6 +95,37 @@ class TestUnknownRoutes:
             post(open_front_end.base_url, "/nope", {"x": 1})
         assert err.value.code == 404
 
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/shutdown"), ("POST", "/health"), ("GET", "/jobs/x/cancel"),
+        ("POST", "/jobs/x/events"), ("GET", "/agents/x/claim"),
+    ])
+    def test_known_path_under_the_wrong_method_is_404(
+            self, open_front_end, method, path):
+        conn = http.client.HTTPConnection(
+            open_front_end.host, open_front_end.port, timeout=10)
+        try:
+            conn.request(method, path, body=b"{}" if method == "POST"
+                         else None)
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert json.loads(resp.read()) == {
+                "error": f"unknown path {path!r}"}
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
+    def test_other_methods_are_405(self, open_front_end, method):
+        conn = http.client.HTTPConnection(
+            open_front_end.host, open_front_end.port, timeout=10)
+        try:
+            conn.request(method, "/health")
+            resp = conn.getresponse()
+            assert resp.status == 405
+            assert json.loads(resp.read()) == {
+                "error": f"method {method} not allowed"}
+        finally:
+            conn.close()
+
     def test_unknown_job_id_is_404(self, open_front_end):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(
@@ -144,7 +135,7 @@ class TestUnknownRoutes:
 
 class TestOversizedPayloads:
     def test_declared_oversize_is_refused_with_413(self, open_front_end):
-        # Declare a body one byte over the cap; both front ends must
+        # Declare a body one byte over the cap; the gateway must
         # refuse before reading it, so no body is ever sent here.
         conn = http.client.HTTPConnection(
             open_front_end.host, open_front_end.port, timeout=10)

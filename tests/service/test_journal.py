@@ -8,13 +8,17 @@ byte-identical to an uninterrupted run's.
 """
 
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service import JobJournal, SearchService
-from repro.service.journal import PendingJob
+from repro.service.journal import JOURNAL_OPS, PendingJob
 from repro.service.service import JOURNAL_FILENAME
 
 
@@ -253,6 +257,140 @@ class TestTruncationProperty:
         assert [(p.plan_hash, p.last_state) for p in pending] == [
             ("aaa", "running")]
         assert pending[0].agent is None  # the torn lease never happened
+
+
+def _oracle_pending_jobs(entries):
+    """The two-pass ``pending_jobs`` the folded reducer replaced, frozen."""
+    recoverable = ("queued", "running", "leased", "lease-expired")
+    last_state, plans, priorities = {}, {}, {}
+    agents, leases, tenants, order = {}, {}, {}, []
+    for entry in entries:
+        digest = entry.get("hash")
+        op = entry.get("op")
+        if digest is None or op not in JOURNAL_OPS:
+            continue
+        if op == "queued" and not isinstance(entry.get("plan"), dict):
+            continue
+        if digest not in last_state:
+            order.append(digest)
+        last_state[digest] = op
+        if op == "queued":
+            plans[digest] = entry["plan"]
+            tenant = entry.get("tenant")
+            tenants[digest] = (
+                tenant if isinstance(tenant, str) and tenant else None)
+            try:
+                priorities[digest] = int(entry.get("priority", 0))
+            except (TypeError, ValueError):
+                priorities[digest] = 0
+        agent = entry.get("agent")
+        agents[digest] = agent if op == "leased" else None
+        lease = entry.get("lease_seconds")
+        leases[digest] = (
+            float(lease) if op == "leased"
+            and isinstance(lease, (int, float)) else None)
+    pending = []
+    for digest in order:
+        if last_state[digest] not in recoverable or digest not in plans:
+            continue
+        agent = agents.get(digest)
+        pending.append(PendingJob(
+            plan_doc=plans[digest], plan_hash=digest,
+            priority=priorities[digest], last_state=last_state[digest],
+            agent=agent if isinstance(agent, str) and agent else None,
+            lease_seconds=leases.get(digest), tenant=tenants.get(digest)))
+    return pending
+
+
+def _oracle_live_jobs(entries):
+    """The two-pass ``live_jobs`` the folded reducer replaced, frozen."""
+    recoverable = ("queued", "running", "leased", "lease-expired")
+    last_state, plans, order = {}, {}, []
+    for entry in entries:
+        digest = entry.get("hash")
+        op = entry.get("op")
+        if not isinstance(digest, str) or op not in JOURNAL_OPS:
+            continue
+        if digest not in last_state:
+            order.append(digest)
+        last_state[digest] = op
+        if op == "queued":
+            plan = entry.get("plan")
+            plans[digest] = plan if isinstance(plan, dict) else None
+    return [(digest, plans.get(digest)) for digest in order
+            if last_state[digest] in recoverable]
+
+
+#: Arbitrary ``JobJournal.record`` calls over a few jobs; the ones the
+#: writer refuses are dropped, so the journals are exactly the ones it
+#: can produce.
+_RECORD_CALLS = st.lists(st.fixed_dictionaries(
+    {
+        "op": st.sampled_from(JOURNAL_OPS),
+        "plan_hash": st.sampled_from(("aaaa", "bbbb")),
+        "job_id": st.sampled_from(("j-1", "j-2")),
+    },
+    optional={
+        "priority": st.integers(-3, 3),
+        "plan_doc": st.fixed_dictionaries(
+            {"workload": st.just("search"), "seed": st.integers(0, 3)}),
+        "agent": st.sampled_from(("agent-a", "")),
+        "lease_seconds": st.integers(1, 5) | st.floats(0.5, 30.0),
+        "tenant": st.sampled_from(("acme", "")),
+        "note": st.just("n"),
+    },
+), max_size=8)
+
+
+class TestFoldedReducer:
+    """``pending_jobs``/``live_jobs`` share one fold over the entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(calls=_RECORD_CALLS)
+    def test_fold_matches_the_old_reducers_on_every_cut(self, calls):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "journal.jsonl"
+            with JobJournal(path) as journal:
+                for call in calls:
+                    try:
+                        journal.record(**call)
+                    except ValueError:
+                        pass  # refused by the writer: not producible
+            data = path.read_bytes() if path.exists() else b""
+            cut = Path(tmp) / "cut.jsonl"
+            for offset in range(len(data) + 1):
+                cut.write_bytes(data[:offset])
+                entries = JobJournal.replay(cut)
+                assert (JobJournal.pending_jobs(entries)
+                        == _oracle_pending_jobs(entries))
+                assert (JobJournal.live_jobs(entries)
+                        == _oracle_live_jobs(entries))
+
+    def test_plan_less_queued_keeps_the_job_and_its_last_plan(self):
+        plan = {"workload": "search", "seed": 1}
+        entries = [
+            {"schema": 1, "op": "queued", "hash": "h1", "job": "j-1",
+             "plan": plan, "priority": 2, "tenant": "acme"},
+            {"schema": 1, "op": "done", "hash": "h1", "job": "j-1"},
+            {"schema": 1, "op": "queued", "hash": "h1", "job": "j-1"},
+            {"schema": 1, "op": "queued", "hash": "h2", "job": "j-2"},
+        ]
+        assert JobJournal.pending_jobs(entries) == [PendingJob(
+            plan_doc=plan, plan_hash="h1", priority=2,
+            last_state="queued", tenant="acme")]
+        assert JobJournal.live_jobs(entries) == [("h1", plan), ("h2", None)]
+
+    def test_non_string_hash_is_keyed_by_its_str(self):
+        plan = {"workload": "search", "seed": 2}
+        entries = [
+            {"schema": 1, "op": "queued", "hash": 123, "job": "j-1",
+             "plan": plan},
+            {"schema": 1, "op": "running", "hash": 123, "job": "j-1"},
+        ]
+        assert JobJournal.pending_jobs(entries) == [PendingJob(
+            plan_doc=plan, plan_hash="123", priority=0,
+            last_state="running")]
+        assert JobJournal.live_jobs(entries) == [("123", plan)]
 
 
 class TestServiceRecovery:

@@ -250,11 +250,13 @@ class TestGCSafety:
         live = live_store_keys(JobJournal.replay(journal.path))
         ResultStore(store_dir).gc(live=live, max_age_seconds=0)
 
-        events = []
         with SearchService(workers=1, store=ResultStore(store_dir)) as svc:
-            svc.bus.subscribe(events.append)
             (job_id,) = svc.recovered_jobs
-            svc.job(job_id).result(timeout=300)
+            handle = svc.job(job_id)
+            handle.result(timeout=300)
+            # The job's own log holds every event since it was queued
+            # during recovery -- no subscription can arrive too late.
+            events = handle.events()
         cached = [e for e in events if isinstance(e, ShardCached)]
         assert [e.shard_id for e in cached] == [shards[0].shard_id]
 

@@ -193,37 +193,20 @@ class TestPlanFlow:
         assert "nothing written" in out
         assert not (tmp_path / "reproduction_report.md").exists()
 
-    def test_deprecated_workers_alias_warns_and_works(self, capsys):
-        assert main(["table1", "--trials", "3", "--batch-size", "2",
-                     "--workers", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "--workers is deprecated" in captured.err
-        assert "NAS" in captured.out
-
-    def test_deprecated_campaign_dir_alias_warns_and_works(
-        self, capsys, tmp_path
-    ):
-        assert main(["table1", "--trials", "3",
-                     "--campaign-dir", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        assert "--campaign-dir is deprecated" in captured.err
-        assert list(tmp_path.glob("*.checkpoint.json"))
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "1"), ("--campaign-dir", "ckpt"),
+    ])
+    def test_removed_search_aliases_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--trials", "3", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_canonical_flags_do_not_warn(self, capsys, tmp_path):
         assert main(["table1", "--trials", "3",
                      "--checkpoint-dir", str(tmp_path)]) == 0
         assert "deprecated" not in capsys.readouterr().err
-
-    def test_alias_and_canonical_conflict_resolves_to_canonical(
-        self, capsys, tmp_path
-    ):
-        canonical = tmp_path / "canonical"
-        legacy = tmp_path / "legacy"
-        assert main(["table1", "--trials", "3",
-                     "--checkpoint-dir", str(canonical),
-                     "--campaign-dir", str(legacy)]) == 0
-        assert list(canonical.glob("*.checkpoint.json"))
-        assert not legacy.exists()
+        assert list(tmp_path.glob("*.checkpoint.json"))
 
 
 class TestServiceVerbs:
@@ -235,6 +218,41 @@ class TestServiceVerbs:
         assert args.command == "serve"
         assert (args.port, args.workers) == (0, 3)
         assert (args.store_dir, args.checkpoint_dir) == ("s", "c")
+
+    def test_serve_on_port_0_advertises_the_bound_port(self):
+        """The banner names the port the gateway actually bound."""
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.service.client import ServiceClient
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            banner = ""
+            while "serving" not in banner:
+                banner = proc.stderr.readline()
+                assert banner, "serve exited before printing its banner"
+            match = re.search(r"http://([\w.]+):(\d+)", banner)
+            assert match and int(match.group(2)) != 0, banner
+            client = ServiceClient(match.group(0))
+            assert client.health()["status"] == "ok"
+            assert client.shutdown() == {"status": "shutting down"}
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
 
     def test_submit_flags(self):
         args = build_parser().parse_args([
@@ -254,23 +272,18 @@ class TestServiceVerbs:
     def test_submit_against_live_server(self, capsys, tmp_path):
         """The whole CLI loop: dump a plan, serve, submit, fetch bytes."""
         import json
-        import threading
 
-        from repro.service.http import make_server
+        from repro.service.gateway import GatewayRunner
 
         assert main([
             "table1", "--trials", "3", "--dump-plan",
             str(tmp_path / "plan.json"),
         ]) == 0
-        server = make_server(port=0, workers=1)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
+        with GatewayRunner(workers=1, drain_grace=0) as runner:
             capsys.readouterr()  # drop the table1 output
             code = main([
                 "submit", str(tmp_path / "plan.json"),
-                "--url", f"http://{host}:{port}",
+                "--url", runner.base_url,
                 "--output", str(tmp_path / "result.json"),
             ])
             out = capsys.readouterr().out
@@ -286,17 +299,12 @@ class TestServiceVerbs:
             }))
             code = main([
                 "submit", str(tmp_path / "search.json"),
-                "--url", f"http://{host}:{port}",
+                "--url", runner.base_url,
                 "--output", str(tmp_path / "result.json"),
             ])
             assert code == 0
             payload = json.loads((tmp_path / "result.json").read_text())
             assert len(payload["trials"]) == 3
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.shutdown(wait=True, cancel_running=True)
-            thread.join(timeout=10)
 
     def test_submit_connection_refused_errors_cleanly(
         self, capsys, tmp_path
