@@ -290,7 +290,14 @@ class Architecture:
         fingerprints (and everything keyed off them -- shard ids, the
         surrogate's noise) are unchanged; depthwise layers append a
         ``dw`` marker.
+
+        The architecture is immutable, so the key is built once and kept
+        on the instance: every cache and ledger holding it shares one
+        string instead of a copy per call.
         """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is not None:
+            return cached
         fields: list[str] = [str(self.input_size), str(self.input_channels),
                              str(self.num_classes)]
         for l in self.layers:
@@ -298,4 +305,8 @@ class Architecture:
             if l.is_depthwise:
                 part += ".dw"
             fields.append(part)
-        return "|".join(fields)
+        fingerprint = "|".join(fields)
+        # Not a dataclass field, so equality, hashing and asdict() are
+        # unchanged; a race between threads stores the same string.
+        object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint

@@ -27,12 +27,15 @@ trade-off with the full analytical model in the loop.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.architecture import Architecture, ConvLayerSpec
 from repro.fpga.dram import PhaseLatency
@@ -246,6 +249,11 @@ class PipelineDesign:
     platform: Platform
     layers: tuple[LayerDesign, ...]
     allocations: tuple[PeAllocation, ...]
+    #: Reuse-independent analyzer terms per ``rc_mapping``, filled
+    #: lazily by :func:`repro.latency.analyzer.design_terms`.
+    analyzer_terms: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.layers) != self.architecture.depth:
@@ -658,7 +666,13 @@ class TilingDesigner:
     def design_layer(
         self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
     ) -> TilingVector:
-        """Choose one layer's tiling under its PE's resource budget."""
+        """Choose one layer's tiling under its PE's resource budget.
+
+        Channel tiling and the spatial feasibility grid do not depend on
+        the spatial strategy, so a memo miss solves every strategy from
+        one grid and stores them all: the explorer's designer for the
+        other strategy then answers the same layer from the memo.
+        """
         if self.memo is not None:
             cached = self.memo.lookup(
                 spec, dsp_budget, bram_budget_bytes, self.spatial_strategy
@@ -666,16 +680,21 @@ class TilingDesigner:
             if cached is not None:
                 return cached
         tm, tn = self._choose_channel_tiling(spec, dsp_budget, bram_budget_bytes)
-        tr, tc = self._choose_spatial_tiling(spec, tm, tn, bram_budget_bytes)
-        tiling = TilingVector(tm=tm, tn=tn, tr=tr, tc=tc)
+        spatial = self._choose_spatial_tilings(spec, tm, tn, bram_budget_bytes)
+        tilings = {
+            strategy: TilingVector(tm=tm, tn=tn, tr=tr, tc=tc)
+            for strategy, (tr, tc) in spatial.items()
+        }
         if self.memo is not None:
-            self.memo.store(
-                spec, dsp_budget, bram_budget_bytes, self.spatial_strategy, tiling
-            )
-        return tiling
+            for strategy, tiling in tilings.items():
+                self.memo.store(
+                    spec, dsp_budget, bram_budget_bytes, strategy, tiling
+                )
+        return tilings[self.spatial_strategy]
 
+    @staticmethod
     def _choose_channel_tiling(
-        self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
+        spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
     ) -> tuple[int, int]:
         """Minimise ``ceil(M/Tm) * ceil(N/Tn)`` under DSP *and* BRAM limits.
 
@@ -686,39 +705,41 @@ class TilingDesigner:
         large kernels.  Ties prefer fewer DSPs, then a larger ``Tm``
         (OFM parallelism keeps partial sums local, reducing output
         traffic).
+
+        At a 1x1 tile the buffers hold ``Tn*(S+K-1)**2 + Tm + Tm*Tn*K*K``
+        words, linear in ``Tn``, so the largest feasible ``Tn`` of every
+        ``Tm`` is one integer division; the whole ``Tm`` column is solved
+        at once and ranked with one :func:`numpy.lexsort`.
         """
         if dsp_budget < 1:
             raise ValueError(f"dsp_budget must be >= 1, got {dsp_budget}")
         if spec.is_depthwise:
-            return self._choose_depthwise_channel_tiling(
+            return TilingDesigner._choose_depthwise_channel_tiling(
                 spec, dsp_budget, bram_budget_bytes
             )
-        m, n = spec.out_channels, spec.in_channels
-        best: tuple[int, int, int, int] | None = None  # (waste, dsps, -tm, tm)
-        best_tn = 1
-        for tm in range(1, min(m, dsp_budget) + 1):
-            tn = min(n, dsp_budget // tm)
-            while tn >= 1 and self._bram_usage(
-                spec, tm, tn, 1, 1
-            ) > bram_budget_bytes:
-                tn -= 1
-            if tn < 1:
-                continue
-            tiles = (-(-m // tm)) * (-(-n // tn))
-            key = (tiles, tm * tn, -tm, tm)
-            if best is None or key < (best[0], best[1], best[2], best[3]):
-                best = key
-                best_tn = tn
-        if best is None:
+        m, n, k = spec.out_channels, spec.in_channels, spec.kernel
+        words = bram_budget_bytes // (WORD_BYTES * DOUBLE_BUFFER)
+        window = (spec.stride + k - 1) ** 2
+        tm = np.arange(1, min(m, dsp_budget) + 1)
+        tn = np.minimum(
+            np.minimum(n, dsp_budget // tm),
+            (words - tm) // (window + tm * (k * k)),
+        )
+        feasible = tn >= 1
+        if not feasible.any():
             raise ValueError(
                 f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
                 f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
                 "(even Tm=Tn=1 overflows)"
             )
-        return best[3], best_tn
+        tm, tn = tm[feasible], tn[feasible]
+        tiles = (-(-m // tm)) * (-(-n // tn))
+        best = np.lexsort((-tm, tm * tn, tiles))[0]
+        return int(tm[best]), int(tn[best])
 
+    @staticmethod
     def _choose_depthwise_channel_tiling(
-        self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
+        spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
     ) -> tuple[int, int]:
         """Depthwise channel tiling: one tied ``Tm == Tn == T`` knob.
 
@@ -726,85 +747,79 @@ class TilingDesigner:
         independent single-channel lanes costing ``T`` DSPs (not
         ``T x T``).  Minimise ``ceil(C / T)`` channel tiles under the
         DSP and (1x1-spatial) BRAM limits; ties prefer fewer lanes.
+
+        At a 1x1 tile ``T`` lanes hold ``T*((S+K-1)**2 + 1 + K*K)``
+        words, so the largest feasible ``T`` is one division; it sets
+        the fewest channel tiles ``q``, and the fewest lanes that still
+        reach ``q`` are ``ceil(C / q)``.
         """
-        c = spec.in_channels
-        best: tuple[int, int] | None = None  # (tiles, t)
-        for t in range(1, min(c, dsp_budget) + 1):
-            if self._bram_usage(spec, t, t, 1, 1) > bram_budget_bytes:
-                break
-            tiles = -(-c // t)
-            key = (tiles, t)
-            if best is None or key < best:
-                best = key
-        if best is None:
+        c, k = spec.in_channels, spec.kernel
+        words = bram_budget_bytes // (WORD_BYTES * DOUBLE_BUFFER)
+        lane_words = (spec.stride + k - 1) ** 2 + 1 + k * k
+        t_max = min(c, dsp_budget, words // lane_words)
+        if t_max < 1:
             raise ValueError(
                 f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
                 f"depthwise layer {spec.kernel}x{spec.kernel}/"
                 f"{spec.out_channels} (even T=1 overflows)"
             )
-        return best[1], best[1]
+        tiles = -(-c // t_max)
+        lanes = -(-c // tiles)
+        return lanes, lanes
 
-    def _choose_spatial_tiling(
-        self, spec: ConvLayerSpec, tm: int, tn: int, bram_budget_bytes: int
-    ) -> tuple[int, int]:
-        """Choose ``Tr, Tc`` under the BRAM budget.
+    @staticmethod
+    def _choose_spatial_tilings(
+        spec: ConvLayerSpec, tm: int, tn: int, bram_budget_bytes: int
+    ) -> dict[str, tuple[int, int]]:
+        """Choose ``Tr, Tc`` under the BRAM budget, for every strategy.
 
         Candidates are all (Tr, Tc) pairs over the divisor-friendly
-        values of R and C; feasibility is checked with the exact buffer
-        model of :class:`LayerDesign`.  Falls back to 1x1 tiles, which
-        always fit a sane budget.
+        values of R and C; feasibility is one broadcast grid of the
+        exact buffer model of :class:`LayerDesign`.  Each strategy ranks
+        the feasible pairs with a stable :func:`numpy.lexsort`, so ties
+        go to the first pair in row-major ``(Tr, Tc)`` order.
         """
         r, c = spec.out_rows, spec.out_cols
-        candidates_r = _tile_size_candidates(r)
-        candidates_c = _tile_size_candidates(c)
-        feasible: list[tuple[int, int]] = []
-        for tr in candidates_r:
-            for tc in candidates_c:
-                if self._bram_usage(spec, tm, tn, tr, tc) <= bram_budget_bytes:
-                    feasible.append((tr, tc))
-        if not feasible:
+        s, k = spec.stride, spec.kernel
+        rows = np.array(_tile_size_candidates(r))
+        cols = np.array(_tile_size_candidates(c))
+        weights = tn * k * k if spec.is_depthwise else tm * tn * k * k
+        # Words of the IFM window and the OFM tile for every (Tr, Tc);
+        # the weight block does not depend on the spatial tile.
+        words = (tn * np.multiply.outer(rows * s + (k - 1), cols * s + (k - 1))
+                 + tm * np.multiply.outer(rows, cols))
+        budget = bram_budget_bytes // (WORD_BYTES * DOUBLE_BUFFER) - weights
+        fit_r, fit_c = np.nonzero(words <= budget)
+        if fit_r.size == 0:
             raise ValueError(
                 f"no spatial tiling fits BRAM budget {bram_budget_bytes}B for "
                 f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
                 f"(even 1x1 tiles overflow)"
             )
-        if self.spatial_strategy == "max-reuse":
-            # Largest area; ties prefer fewer total tiles (less ceil waste),
-            # then squarer tiles.
-            def score(rc: tuple[int, int]) -> tuple[int, int, int]:
-                tr, tc = rc
-                tiles = (-(-r // tr)) * (-(-c // tc))
-                return (-(tr * tc), tiles, abs(tr - tc))
-        else:  # min-start
-            # Smallest tile that still divides the map without extra waste.
-            def score(rc: tuple[int, int]) -> tuple[int, int, int]:
-                tr, tc = rc
-                tiles = (-(-r // tr)) * (-(-c // tc))
-                waste = tiles * tr * tc - r * c
-                return (waste, tr * tc, abs(tr - tc))
-        return min(feasible, key=score)
-
-    @staticmethod
-    def _bram_usage(
-        spec: ConvLayerSpec, tm: int, tn: int, tr: int, tc: int
-    ) -> int:
-        """Double-buffered bytes for a candidate tiling (mirrors LayerDesign)."""
-        window_rows = tr * spec.stride + spec.kernel - 1
-        window_cols = tc * spec.stride + spec.kernel - 1
-        ifm = tn * window_rows * window_cols * WORD_BYTES
-        ofm = tm * tr * tc * WORD_BYTES
-        if spec.is_depthwise:
-            wei = tn * spec.kernel * spec.kernel * WORD_BYTES
-        else:
-            wei = tm * tn * spec.kernel * spec.kernel * WORD_BYTES
-        return DOUBLE_BUFFER * (ifm + ofm + wei)
+        tr, tc = rows[fit_r], cols[fit_c]
+        area = tr * tc
+        tiles = (-(-r // rows))[fit_r] * (-(-c // cols))[fit_c]
+        squareness = np.abs(tr - tc)
+        # max-reuse: largest area; ties prefer fewer total tiles (less
+        # ceil waste), then squarer tiles.
+        max_reuse = np.lexsort((squareness, tiles, -area))[0]
+        # min-start: smallest tile that still divides the map without
+        # extra waste (``tiles * area - R * C``, ranked without the
+        # constant).
+        min_start = np.lexsort((squareness, area, tiles * area))[0]
+        return {
+            "max-reuse": (int(tr[max_reuse]), int(tc[max_reuse])),
+            "min-start": (int(tr[min_start]), int(tc[min_start])),
+        }
 
 
+@functools.lru_cache(maxsize=None)
 def _tile_size_candidates(extent: int) -> list[int]:
     """Useful tile sizes for a spatial extent: divisors plus the extent itself.
 
     Divisors avoid ragged edge tiles; a handful of near-divisor sizes are
     added for prime extents so the search is never starved of choices.
+    Cached, so every caller shares one list: do not mutate it.
     """
     if extent <= 0:
         raise ValueError(f"extent must be positive, got {extent}")

@@ -121,6 +121,13 @@ class TestArchitecture:
         b = Architecture.from_choices([3, 5], [4, 8], input_size=16)
         assert a.fingerprint() == b.fingerprint()
 
+    def test_fingerprint_is_built_once_and_shared(self):
+        a = Architecture.from_choices([3, 5], [4, 8], input_size=16)
+        b = Architecture.from_choices([3, 5], [4, 8], input_size=16)
+        assert a.fingerprint() is a.fingerprint()
+        # Keeping the key on the instance leaves identity semantics alone.
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
     def test_rejects_empty_layers(self):
         with pytest.raises(ValueError, match="at least one"):
             Architecture(layers=(), num_classes=10, input_channels=1,

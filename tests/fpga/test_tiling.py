@@ -171,14 +171,10 @@ class TestTilingDesigner:
 
 class TestTileCandidates:
     def test_includes_divisors(self):
-        assert _tile_size_candidates(12) >= [1, 2, 3, 4, 6, 12][:0] or True
-        cands = _tile_size_candidates(12)
-        for d in (1, 2, 3, 4, 6, 12):
-            assert d in cands
+        assert _tile_size_candidates(12) == [1, 2, 3, 4, 6, 12]
 
     def test_prime_extent_gets_mid_range_options(self):
-        cands = _tile_size_candidates(13)
-        assert any(1 < c < 13 for c in cands)
+        assert _tile_size_candidates(13) == [1, 4, 5, 7, 13]
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -289,3 +285,62 @@ class TestTilingDiskCache:
         tiling = designer.design_layer(spec_of(), 64, 256 * 1024)
         cache = TilingDiskCache(str(disk_dir))
         assert cache.get(spec_of(), 64, 256 * 1024, "max-reuse") == tiling
+
+    def test_a_miss_writes_through_every_strategy(self, disk_dir):
+        """One solve serves both spatial strategies, on disk too."""
+        from repro.fpga.tiling import LayerDesignMemo, TilingDiskCache
+
+        TilingDesigner(memo=LayerDesignMemo()).design_layer(
+            spec_of(), 64, 256 * 1024)
+        cache = TilingDiskCache(str(disk_dir))
+        assert cache.get(spec_of(), 64, 256 * 1024, "min-start") == (
+            TilingDesigner("min-start").design_layer(spec_of(), 64, 256 * 1024)
+        )
+
+
+class TestBothStrategiesPerMiss:
+    """A memo miss solves both spatial strategies from one grid."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process_stats(self):
+        from repro.fpga import tiling as tiling_mod
+
+        tiling_mod.configure_disk_cache(None)
+        tiling_mod.reset_process_memo_stats()
+        yield
+        tiling_mod.reset_process_memo_stats()
+
+    @pytest.mark.parametrize("first,second", [
+        ("max-reuse", "min-start"),
+        ("min-start", "max-reuse"),
+    ])
+    def test_other_strategy_hits_after_a_miss(self, first, second):
+        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
+
+        memo = LayerDesignMemo()
+        spec = spec_of(n=8, m=16, size=28)
+        TilingDesigner(first, memo=memo).design_layer(spec, 64, 10**6)
+        assert (memo.stats.hits, memo.stats.misses) == (0, 1)
+        assert len(memo) == 2
+
+        tiling = TilingDesigner(second, memo=memo).design_layer(spec, 64, 10**6)
+        assert tiling == TilingDesigner(second).design_layer(spec, 64, 10**6)
+        assert (memo.stats.hits, memo.stats.misses) == (1, 1)
+        assert memo.stats.hits + memo.stats.misses == memo.stats.lookups == 2
+        bucket = memo.kind_stats["standard"]
+        assert (bucket.hits, bucket.misses) == (1, 1)
+        snapshot = process_memo_snapshot()
+        for kind in ("all", "standard"):
+            assert snapshot[kind] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
+        assert "disk" not in snapshot
+
+    def test_explorer_solves_each_layer_once(self, mnist_arch, pynq_platform):
+        """The explorer's second designer is answered by the memo."""
+        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
+        from repro.latency.explorer import DesignExplorer
+
+        memo = LayerDesignMemo()
+        DesignExplorer(memo=memo).explore(mnist_arch, pynq_platform)
+        depth = mnist_arch.depth
+        assert (memo.stats.hits, memo.stats.misses) == (depth, depth)
+        assert process_memo_snapshot()["all"]["misses"] == depth

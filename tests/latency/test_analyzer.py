@@ -1,18 +1,25 @@
 """Tests for the closed-form FNAS-Analyzer (equations (2)-(5))."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.architecture import Architecture
-from repro.fpga.device import PYNQ_Z1, XCZU9EG
+from repro.fpga.device import PYNQ_Z1, XC7Z020_DDR_NARROW, XCZU9EG
 from repro.fpga.platform import Platform
 from repro.fpga.tiling import LayerDesign, TilingDesigner, TilingVector
-from repro.latency.analyzer import FnasAnalyzer
+from repro.latency.analyzer import FnasAnalyzer, design_terms
+from repro.latency.explorer import DesignExplorer
 from repro.scheduling.base import IFM_REUSE, OFM_REUSE
 from repro.scheduling.fnas_sched import FnasScheduler
 from repro.scheduling.simulator import PipelineSimulator
-from repro.taskgraph.graph import TaskGraphGenerator
+from repro.taskgraph.graph import (
+    TaskGraphGenerator,
+    rc_dependencies,
+    resolve_rc_mapping,
+)
 
 
 def design_of(counts, size=16, channels=1, kernel=3, platform=None):
@@ -168,3 +175,99 @@ class TestAnalyzerVsSimulator:
         assert result.total_stall_cycles == 0
         assert report.total_cycles == result.makespan
         assert report.start_times == tuple(result.start_times)
+
+
+def oracle_start_delta(upstream, downstream, upstream_reuse, rc_mapping):
+    """The scalar per-boundary start delta, term by term."""
+    n_ifm_up = upstream.n_ifm_channel_tiles
+    n_ofm_up = upstream.n_ofm_channel_tiles
+    needed = min(math.ceil(downstream.tiling.tn / upstream.tiling.tm),
+                 n_ofm_up)
+    et_up = upstream.effective_execution_time
+    if resolve_rc_mapping(upstream, downstream, rc_mapping) == "identity":
+        last_rc = 0
+    else:
+        last_rc = max(rc_dependencies(upstream, downstream, 0))
+    if upstream.spec.is_depthwise:
+        return (last_rc * n_ofm_up + needed) * et_up
+    rc_prefix = last_rc * n_ifm_up * n_ofm_up
+    if upstream_reuse == OFM_REUSE:
+        return (rc_prefix + n_ifm_up * needed) * et_up
+    return (rc_prefix + (n_ifm_up - 1) * n_ofm_up + needed) * et_up
+
+
+class TestDesignTerms:
+    """The reuse-independent terms are computed once per design and
+    fold to exactly the per-boundary ``start_delta``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        layers=st.lists(
+            st.tuples(st.sampled_from([1, 3, 5, 7]),
+                      st.sampled_from([4, 8, 9, 16, 18, 36, 64]),
+                      st.sampled_from([1, 2]),
+                      st.sampled_from(["standard", "separable"])),
+            min_size=1, max_size=4),
+        size=st.sampled_from([8, 14, 16, 28]),
+        device=st.sampled_from([PYNQ_Z1, XC7Z020_DDR_NARROW]),
+        rc_mapping=st.sampled_from(["auto", "identity", "overlap"]),
+        strategy=st.sampled_from(["max-reuse", "min-start"]),
+    )
+    def test_terms_equal_start_delta(self, layers, size, device, rc_mapping,
+                                     strategy):
+        kernels, counts, strides, types = zip(*layers)
+        arch = Architecture.from_choices(
+            kernels, counts, input_size=size, input_channels=3,
+            strides=strides, conv_types=types,
+        )
+        design = TilingDesigner(strategy).design(arch, Platform.single(device))
+        terms = design_terms(design, rc_mapping)
+        assert terms.times == tuple(
+            (layer.effective_execution_time, layer.effective_processing_time)
+            for layer in design.layers
+        )
+        assert len(terms.deltas) == len(design.layers) - 1
+        for (up, down), deltas in zip(
+            zip(design.layers, design.layers[1:]), terms.deltas
+        ):
+            for reuse, delta in zip((OFM_REUSE, IFM_REUSE), deltas):
+                assert delta == FnasAnalyzer.start_delta(up, down, reuse,
+                                                         rc_mapping)
+                assert delta == oracle_start_delta(up, down, reuse,
+                                                   rc_mapping)
+
+    def test_terms_are_kept_per_rc_mapping(self):
+        design = design_of([8, 16, 8])
+        auto = design_terms(design, "auto")
+        assert design_terms(design, "auto") is auto
+        overlap = design_terms(design, "overlap")
+        assert set(design.analyzer_terms) == {"auto", "overlap"}
+        assert design_terms(design, "overlap") is overlap
+
+    def test_explorer_walks_row_col_dependencies_once_per_design(
+        self, monkeypatch
+    ):
+        """Four analyses over two designs: the row/col dependency walk
+        runs for each design once, not for each analysis."""
+        from repro.latency import analyzer as analyzer_mod
+
+        calls = []
+        real = analyzer_mod.rc_dependencies
+        monkeypatch.setattr(
+            analyzer_mod, "rc_dependencies",
+            lambda up, down, tile: calls.append(1) or real(up, down, tile),
+        )
+        arch = Architecture.from_choices(
+            [3, 3, 3], [8, 16, 8], input_size=16, strides=[1, 2, 1])
+        result = DesignExplorer().explore(arch, Platform.single(PYNQ_Z1))
+        assert len(result.evaluated) == 4
+        designs = {id(choice.design): choice.design
+                   for choice in result.evaluated}
+        assert len(designs) == 2
+        overlap_boundaries = sum(
+            resolve_rc_mapping(up, down, "auto") == "overlap"
+            for design in designs.values()
+            for up, down in zip(design.layers, design.layers[1:])
+        )
+        assert overlap_boundaries > 0
+        assert len(calls) == overlap_boundaries

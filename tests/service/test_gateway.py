@@ -235,7 +235,7 @@ class TestGracefulDrain:
         ops = [e["op"] for e in entries if e["hash"] == info["plan_hash"]]
         assert ops[-1] == "done"
 
-    def test_drained_gateway_result_matches_a_sync_server_run(
+    def test_drained_gateway_result_matches_an_in_process_service_run(
             self, tmp_path):
         plan = search_plan(seed=31)
         gw_store = tmp_path / "gw-store"
