@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers; a lease not renewed by heartbeat within "
                         "the term expires and the job re-queues (default "
                         "15)")
-    # Accepted and ignored: the gateway is the only server.
-    p.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--tenants", default=None, metavar="TENANTS_JSON",
                    help="enable multi-tenant mode from a tenants.json "
                         "config (API keys, per-tenant quotas, fair-share "

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 #: DRAM access latency in memory-clock cycles (openposeFPGA's constant).
 DEFAULT_DRAM_LATENCY_CYCLES = 120
 
@@ -97,32 +99,40 @@ class DramModel:
             / (self.frequency_mhz * 1e6)
         )
 
-    def transfer_mem_cycles(self, n_bytes: int) -> int:
+    def transfer_mem_cycles(
+        self, n_bytes: int | np.ndarray
+    ) -> int | np.ndarray:
         """Memory-clock cycles to move ``n_bytes`` through the port.
 
         The transfer is cut into full bursts; each pays the access
-        latency, then streams its beats back to back.
+        latency, then streams its beats back to back (zero bytes take
+        zero bursts).  An int64 array is converted elementwise.
         """
-        if n_bytes < 0:
+        if np.any(np.less(n_bytes, 0)):
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
-        if n_bytes == 0:
-            return 0
         beats = -(-n_bytes * 8 // self.port_width_bits)
         bursts = -(-beats // self.burst_beats)
         return bursts * self.latency_cycles + beats
 
-    def transfer_cycles(self, n_bytes: int, accel_clock_mhz: float) -> int:
+    def transfer_cycles(
+        self, n_bytes: int | np.ndarray, accel_clock_mhz: float
+    ) -> int | np.ndarray:
         """Accelerator-clock cycles to move ``n_bytes`` (ceil-rounded).
 
         The PE's phase timers tick at the accelerator clock, so the
-        memory-clock transfer time is rescaled by the clock ratio.
+        memory-clock transfer time is rescaled by the clock ratio.  An
+        int64 array is converted elementwise, with the same float
+        arithmetic as a scalar.
         """
         if accel_clock_mhz <= 0:
             raise ValueError(
                 f"accel_clock_mhz must be positive, got {accel_clock_mhz}"
             )
-        mem_cycles = self.transfer_mem_cycles(n_bytes)
-        return math.ceil(mem_cycles * accel_clock_mhz / self.frequency_mhz)
+        scaled = (self.transfer_mem_cycles(n_bytes) * accel_clock_mhz
+                  / self.frequency_mhz)
+        if isinstance(scaled, np.ndarray):
+            return np.ceil(scaled).astype(np.int64)
+        return math.ceil(scaled)
 
 
 #: Phase names, in per-task order.

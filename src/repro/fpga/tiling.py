@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,11 +250,6 @@ class PipelineDesign:
     platform: Platform
     layers: tuple[LayerDesign, ...]
     allocations: tuple[PeAllocation, ...]
-    #: Reuse-independent analyzer terms per ``rc_mapping``, filled
-    #: lazily by :func:`repro.latency.analyzer.design_terms`.
-    analyzer_terms: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if len(self.layers) != self.architecture.depth:
@@ -319,30 +315,27 @@ def reset_process_memo_stats() -> None:
         PROCESS_MEMO_STATS.clear()
 
 
-def _bump_process_stats(bucket: str, hit: bool) -> None:
-    with _PROCESS_STATS_LOCK:
-        for kind in ("all", bucket):
-            stats = PROCESS_MEMO_STATS.setdefault(kind, MemoStats())
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
+def _bump_process_stats(
+    counts: dict[str, MemoStats], disk: MemoStats
+) -> None:
+    """Add one call's memory-tier counts per kind, and its disk counts.
 
-
-def _bump_disk_stats(hit: bool) -> None:
-    """Count a disk-tier consultation (memory-tier misses only).
-
-    Deliberately *not* folded into the ``"all"`` bucket: ``all`` keeps
-    meaning "memory-tier lookups" so pre-existing dashboards and tests
-    read unchanged, and the ``disk`` bucket's hit rate directly answers
-    "is the shared on-disk memo warming this worker?".
+    The disk tier is deliberately *not* folded into the ``"all"``
+    bucket: ``all`` keeps meaning "memory-tier lookups" so dashboards
+    read the same numbers either way, and the ``disk`` bucket's hit
+    rate directly answers "is the shared on-disk memo warming this
+    worker?".  A bucket appears once it has been consulted.
     """
     with _PROCESS_STATS_LOCK:
-        stats = PROCESS_MEMO_STATS.setdefault("disk", MemoStats())
-        if hit:
-            stats.hits += 1
-        else:
-            stats.misses += 1
+        for kind, delta in counts.items():
+            for bucket in ("all", kind):
+                stats = PROCESS_MEMO_STATS.setdefault(bucket, MemoStats())
+                stats.hits += delta.hits
+                stats.misses += delta.misses
+        if disk.lookups:
+            stats = PROCESS_MEMO_STATS.setdefault("disk", MemoStats())
+            stats.hits += disk.hits
+            stats.misses += disk.misses
 
 
 class TilingDiskCache:
@@ -485,6 +478,17 @@ def disk_cache() -> TilingDiskCache | None:
     return _DISK_CACHE
 
 
+#: Everything tiling selection depends on apart from the spatial
+#: strategy: ``(layer spec, DSP budget, BRAM budget in bytes)``.
+LayerKey = tuple[ConvLayerSpec, int, int]
+
+#: One memo lookup: a layer key and the spatial strategy asked for.
+Lookup = tuple[LayerKey, str]
+
+#: Every spatial strategy, in the order the explorer evaluates them.
+SPATIAL_STRATEGIES = ("max-reuse", "min-start")
+
+
 @dataclass
 class LayerDesignMemo:
     """Shared memo of per-layer tiling decisions.
@@ -492,20 +496,20 @@ class LayerDesignMemo:
     Tiling selection is a pure function of the layer spec, the PE's
     resource budgets and the spatial strategy -- and architectures in a
     search run share most layer configurations -- so one memo shared
-    across :class:`TilingDesigner` instances lets every new architecture
-    reuse the tiling work done for fingerprints seen earlier.  This is
-    the layer-level tier of the latency estimator's two-tier cache.
+    across designs lets every new architecture reuse the tiling work
+    done for fingerprints seen earlier.  This is the layer-level tier of
+    the latency estimator's two-tier cache.
 
-    Thread-safe: the memo is shared by every designer an estimator
-    builds, and estimators are themselves shared across service and
-    evaluation threads, so the dict and its counters mutate only under
-    an internal lock.  Entries are values of a pure function, so a race
-    on the same key stores the same tiling twice -- harmless.
+    Counters mean one lookup per (layer occurrence, spatial strategy),
+    however many lookups one call resolves.  Thread-safe: the dict and
+    its counters mutate only under an internal lock.  Entries are values
+    of a pure function, so a race on the same key stores the same tiling
+    twice -- harmless.
     """
 
     stats: MemoStats = field(default_factory=MemoStats)
     kind_stats: dict[str, MemoStats] = field(default_factory=dict)
-    _memo: dict[tuple, TilingVector] = field(default_factory=dict)
+    _memo: dict[Lookup, TilingVector] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -533,56 +537,101 @@ class LayerDesignMemo:
         with self._lock:
             self._memo.clear()
 
-    def lookup(
-        self,
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-    ) -> TilingVector | None:
-        """Return the memoised tiling for this layer shape, if any.
+    def tilings(self, lookups: list[Lookup]) -> dict[Lookup, TilingVector]:
+        """The tiling of every lookup, solving all misses in one pass.
 
         Two tiers: the in-process dict first, then the shared on-disk
-        cache when one is configured (see :func:`configure_disk_cache`).
-        A disk hit is promoted into the memory tier, so each shape pays
-        disk I/O at most once per process.
+        cache when one is configured (see :func:`configure_disk_cache`);
+        a disk hit is promoted into the memory tier, so each shape pays
+        disk I/O at most once per process.  The lookups count as that
+        many single lookups in a row would, each miss followed by a
+        solve that stores every strategy: a later lookup of a key an
+        earlier one missed is a hit.  The misses are then solved
+        together by :func:`solve_tilings` and stored (disk write-through
+        included).
         """
-        key = (spec, dsp_budget, bram_budget_bytes, spatial_strategy)
-        bucket = self._kind_bucket(spec)
-        with self._lock:
-            tiling = self._memo.get(key)
-            kind = self.kind_stats.setdefault(bucket, MemoStats())
-            if tiling is None:
-                self.stats.misses += 1
-                kind.misses += 1
-            else:
-                self.stats.hits += 1
-                kind.hits += 1
-        _bump_process_stats(bucket, hit=tiling is not None)
-        if tiling is None and _DISK_CACHE is not None:
-            tiling = _DISK_CACHE.get(spec, dsp_budget, bram_budget_bytes,
-                                     spatial_strategy)
-            _bump_disk_stats(hit=tiling is not None)
-            if tiling is not None:
-                with self._lock:
-                    self._memo[key] = tiling
-        return tiling
+        found, pending = self._consult(Counter(lookups))
+        if pending:
+            solved = [
+                ((key, strategy), tiling)
+                for key, tilings in zip(pending, solve_tilings(pending))
+                for strategy, tiling in tilings.items()
+            ]
+            with self._lock:
+                self._memo.update(solved)
+            found.update(solved)
+            if _DISK_CACHE is not None:
+                for (key, strategy), tiling in solved:
+                    _DISK_CACHE.put(*key, strategy, tiling)
+        return found
 
-    def store(
-        self,
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-        tiling: TilingVector,
-    ) -> None:
-        """Memoise a freshly computed tiling (write-through to disk)."""
-        key = (spec, dsp_budget, bram_budget_bytes, spatial_strategy)
+    def _consult(
+        self, occurrences: dict[Lookup, int]
+    ) -> tuple[dict[Lookup, TilingVector], list[LayerKey]]:
+        """Answer lookups from the memory tier, then the disk tier.
+
+        ``occurrences`` maps each distinct lookup, in first-occurrence
+        order, to how often it occurs.  Only a first occurrence can
+        miss: after it the lookup was found, promoted from disk or its
+        key solved.  Returns the tilings found and the keys left to
+        solve, in first-miss order, and bumps every counter once under
+        one lock.
+        """
         with self._lock:
-            self._memo[key] = tiling
-        if _DISK_CACHE is not None:
-            _DISK_CACHE.put(spec, dsp_budget, bram_budget_bytes,
-                            spatial_strategy, tiling)
+            memo = self._memo
+            found = {}
+            for lookup in occurrences:
+                tiling = memo.get(lookup)
+                if tiling is not None:
+                    found[lookup] = tiling
+        disk = _DISK_CACHE
+        pending: dict[LayerKey, None] = {}
+        promoted: dict[Lookup, TilingVector] = {}
+        counts: dict[str, MemoStats] = {}
+        disk_counts = MemoStats()
+        for lookup, repeats in occurrences.items():
+            key, strategy = lookup
+            bucket = counts.setdefault(self._kind_bucket(key[0]), MemoStats())
+            if lookup in found or key in pending:
+                bucket.hits += repeats
+                continue
+            bucket.misses += 1
+            bucket.hits += repeats - 1
+            if disk is not None:
+                tiling = disk.get(*key, strategy)
+                if tiling is not None:
+                    disk_counts.hits += 1
+                    found[lookup] = promoted[lookup] = tiling
+                    continue
+                disk_counts.misses += 1
+            pending[key] = None
+        with self._lock:
+            self._memo.update(promoted)
+            for kind, delta in counts.items():
+                bucket = self.kind_stats.setdefault(kind, MemoStats())
+                for stats in (self.stats, bucket):
+                    stats.hits += delta.hits
+                    stats.misses += delta.misses
+        _bump_process_stats(counts, disk_counts)
+        return found, list(pending)
+
+
+def resolve_tilings(
+    lookups: list[Lookup], memo: LayerDesignMemo | None = None
+) -> dict[Lookup, TilingVector]:
+    """The tiling of every ``(layer key, strategy)`` lookup.
+
+    Through ``memo`` when given; otherwise every distinct key is solved
+    in one :func:`solve_tilings` pass.
+    """
+    if memo is not None:
+        return memo.tilings(lookups)
+    keys = list(dict.fromkeys(key for key, _ in lookups))
+    return {
+        (key, strategy): tiling
+        for key, tilings in zip(keys, solve_tilings(keys))
+        for strategy, tiling in tilings.items()
+    }
 
 
 class TilingDesigner:
@@ -604,7 +653,7 @@ class TilingDesigner:
         spatial_strategy: str = "max-reuse",
         memo: LayerDesignMemo | None = None,
     ):
-        if spatial_strategy not in ("max-reuse", "min-start"):
+        if spatial_strategy not in SPATIAL_STRATEGIES:
             raise ValueError(
                 f"unknown spatial_strategy {spatial_strategy!r}; expected "
                 "'max-reuse' or 'min-start'"
@@ -616,201 +665,356 @@ class TilingDesigner:
         self, architecture: Architecture, platform: Platform
     ) -> PipelineDesign:
         """Produce a full pipeline design for ``architecture`` on ``platform``."""
-        allocations = platform.allocate(architecture)
-        layer_designs = []
-        for allocation, spec in zip(allocations, architecture.layers):
-            tiling = self.design_layer(spec, allocation.dsp_budget,
-                                       allocation.bram_budget_bytes)
-            design = LayerDesign(
-                layer_index=allocation.layer_index,
-                spec=spec,
-                tiling=tiling,
-            )
-            phases = self._phase_latency(design, allocation.device)
-            if phases is not None:
-                design = LayerDesign(
-                    layer_index=design.layer_index,
-                    spec=spec,
-                    tiling=tiling,
-                    phases=phases,
-                )
-            layer_designs.append(design)
-        return PipelineDesign(
-            architecture=architecture,
-            platform=platform,
-            layers=tuple(layer_designs),
-            allocations=tuple(allocations),
-        )
-
-    @staticmethod
-    def _phase_latency(design: LayerDesign, device) -> PhaseLatency | None:
-        """Per-task load/compute/write phases on a DRAM-modeled device.
-
-        ``None`` (the flat-bandwidth seed behavior) when the device has
-        no :class:`~repro.fpga.dram.DramModel` attached.  The load phase
-        streams one task's IFM window and weight block; the write phase
-        drains its OFM tile; both are rescaled to accelerator-clock
-        cycles by the DRAM model.
-        """
-        dram = getattr(device, "dram", None)
-        if dram is None:
-            return None
-        clock = device.clock_mhz
-        load_bytes = design.ifm_buffer_bytes + design.weight_buffer_bytes
-        return PhaseLatency(
-            load_cycles=dram.transfer_cycles(load_bytes, clock),
-            compute_cycles=design.execution_time,
-            write_cycles=dram.transfer_cycles(design.ofm_buffer_bytes, clock),
-        )
+        stack = DesignStack([architecture], platform,
+                            (self.spatial_strategy,), self.memo)
+        return stack.design(0)
 
     def design_layer(
         self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
     ) -> TilingVector:
-        """Choose one layer's tiling under its PE's resource budget.
+        """Choose one layer's tiling under its PE's resource budget."""
+        lookup = ((spec, dsp_budget, bram_budget_bytes), self.spatial_strategy)
+        return resolve_tilings([lookup], self.memo)[lookup]
 
-        Channel tiling and the spatial feasibility grid do not depend on
-        the spatial strategy, so a memo miss solves every strategy from
-        one grid and stores them all: the explorer's designer for the
-        other strategy then answers the same layer from the memo.
+
+class DesignStack:
+    """Pipeline designs of many (architecture, spatial strategy) pairs.
+
+    Design ``d = a * len(strategies) + j`` is ``architectures[a]`` under
+    ``strategies[j]``.  Its layers are the consecutive rows
+    ``starts[d] .. starts[d] + depths[d] - 1`` of the int64 columns,
+    which the array pass of :class:`repro.latency.analyzer.StackedLatencies`
+    reads.  Each architecture is allocated once and its tilings come
+    from one :func:`resolve_tilings` call for the whole stack;
+    :class:`PipelineDesign` objects are built only on request.
+    """
+
+    def __init__(
+        self,
+        architectures: list[Architecture],
+        platform: Platform,
+        strategies: tuple[str, ...] = SPATIAL_STRATEGIES,
+        memo: LayerDesignMemo | None = None,
+    ):
+        self.architectures = list(architectures)
+        self.platform = platform
+        self.strategies = tuple(strategies)
+        self.allocations = [platform.allocate(a) for a in self.architectures]
+        lookups = [
+            ((spec, allocation.dsp_budget, allocation.bram_budget_bytes),
+             strategy)
+            for architecture, allocations in zip(self.architectures,
+                                                 self.allocations)
+            for strategy in self.strategies
+            for spec, allocation in zip(architecture.layers, allocations)
+        ]
+        tilings = resolve_tilings(lookups, memo)
+        depths = np.repeat([a.depth for a in self.architectures],
+                           len(self.strategies))
+        #: First row of every design.
+        self.starts = np.concatenate(([0], np.cumsum(depths)[:-1]))
+        self.depths = depths
+        distinct: dict[Lookup, int] = {}
+        rows = [distinct.setdefault(lookup, len(distinct))
+                for lookup in lookups]
+        chosen = [tilings[lookup] for lookup in distinct]
+        #: The chosen tiling of every row.
+        self.tilings = [chosen[row] for row in rows]
+        table = np.array(
+            [(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
+              spec.in_rows, spec.in_cols, spec.is_depthwise,
+              tiling.tm, tiling.tn, tiling.tr, tiling.tc)
+             for ((spec, _, _), _), tiling in zip(distinct, chosen)],
+            dtype=np.int64,
+        ).reshape(-1, 11)
+        columns = table[rows].T
+        (self.in_channels, self.out_channels, self.kernel, self.stride,
+         self.in_rows, self.in_cols, depthwise,
+         self.tm, self.tn, self.tr, self.tc) = columns
+        self.depthwise = depthwise.astype(bool)
+        self._phases(np.array([
+            allocation.device_index
+            for allocations in self.allocations
+            for _ in self.strategies
+            for allocation in allocations
+        ], dtype=np.int64))
+        self._designs: dict[int, PipelineDesign] = {}
+
+    def _phases(self, device_index: np.ndarray) -> None:
+        """Per-task compute, load and write cycles, and effective ET.
+
+        Rows on a device with a :class:`~repro.fpga.dram.DramModel` get
+        ``max(load, compute, write)`` cycles per task (double-buffered
+        phases overlap); the load phase streams one task's IFM window
+        and weight block, the write phase drains its OFM tile.  Other
+        rows keep the flat-bandwidth ``Kh * Kw * Tr * Tc``.
         """
-        if self.memo is not None:
-            cached = self.memo.lookup(
-                spec, dsp_budget, bram_budget_bytes, self.spatial_strategy
-            )
-            if cached is not None:
-                return cached
-        tm, tn = self._choose_channel_tiling(spec, dsp_budget, bram_budget_bytes)
-        spatial = self._choose_spatial_tilings(spec, tm, tn, bram_budget_bytes)
-        tilings = {
-            strategy: TilingVector(tm=tm, tn=tn, tr=tr, tc=tc)
-            for strategy, (tr, tc) in spatial.items()
-        }
-        if self.memo is not None:
-            for strategy, tiling in tilings.items():
-                self.memo.store(
-                    spec, dsp_budget, bram_budget_bytes, strategy, tiling
-                )
-        return tilings[self.spatial_strategy]
-
-    @staticmethod
-    def _choose_channel_tiling(
-        spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
-    ) -> tuple[int, int]:
-        """Minimise ``ceil(M/Tm) * ceil(N/Tn)`` under DSP *and* BRAM limits.
-
-        The layer's cycle count is proportional to the channel-tile
-        product, so that is the primary objective.  A candidate is only
-        feasible if its buffers fit BRAM at the smallest spatial tile
-        (1x1) -- the weight buffer ``Tm*Tn*K*K`` alone can dominate for
-        large kernels.  Ties prefer fewer DSPs, then a larger ``Tm``
-        (OFM parallelism keeps partial sums local, reducing output
-        traffic).
-
-        At a 1x1 tile the buffers hold ``Tn*(S+K-1)**2 + Tm + Tm*Tn*K*K``
-        words, linear in ``Tn``, so the largest feasible ``Tn`` of every
-        ``Tm`` is one integer division; the whole ``Tm`` column is solved
-        at once and ranked with one :func:`numpy.lexsort`.
-        """
-        if dsp_budget < 1:
-            raise ValueError(f"dsp_budget must be >= 1, got {dsp_budget}")
-        if spec.is_depthwise:
-            return TilingDesigner._choose_depthwise_channel_tiling(
-                spec, dsp_budget, bram_budget_bytes
-            )
-        m, n, k = spec.out_channels, spec.in_channels, spec.kernel
-        words = bram_budget_bytes // (WORD_BYTES * DOUBLE_BUFFER)
-        window = (spec.stride + k - 1) ** 2
-        tm = np.arange(1, min(m, dsp_budget) + 1)
-        tn = np.minimum(
-            np.minimum(n, dsp_budget // tm),
-            (words - tm) // (window + tm * (k * k)),
+        k, s, tm, tn, tr, tc = (self.kernel, self.stride, self.tm, self.tn,
+                                self.tr, self.tc)
+        self.compute = k * k * tr * tc
+        self.phased = np.zeros(len(k), dtype=bool)
+        self.load = np.zeros_like(k)
+        self.write = np.zeros_like(k)
+        for index, device in enumerate(self.platform.devices):
+            dram = getattr(device, "dram", None)
+            if dram is None:
+                continue
+            rows = device_index == index
+            ifm = tn * (tr * s + k - 1) * (tc * s + k - 1)
+            weights = np.where(self.depthwise, tn, tm * tn) * k * k
+            load = dram.transfer_cycles((ifm + weights) * WORD_BYTES,
+                                        device.clock_mhz)
+            write = dram.transfer_cycles(tm * tr * tc * WORD_BYTES,
+                                         device.clock_mhz)
+            self.phased |= rows
+            self.load = np.where(rows, load, self.load)
+            self.write = np.where(rows, write, self.write)
+        #: Effective cycles per task of every row.
+        self.execution_time = np.where(
+            self.phased,
+            np.maximum(np.maximum(self.load, self.compute), self.write),
+            self.compute,
         )
-        feasible = tn >= 1
-        if not feasible.any():
-            raise ValueError(
-                f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
-                f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
-                "(even Tm=Tn=1 overflows)"
-            )
-        tm, tn = tm[feasible], tn[feasible]
-        tiles = (-(-m // tm)) * (-(-n // tn))
-        best = np.lexsort((-tm, tm * tn, tiles))[0]
-        return int(tm[best]), int(tn[best])
 
-    @staticmethod
-    def _choose_depthwise_channel_tiling(
-        spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
-    ) -> tuple[int, int]:
-        """Depthwise channel tiling: one tied ``Tm == Tn == T`` knob.
+    def __len__(self) -> int:
+        return len(self.starts)
 
-        There is no channel reduction, so a depthwise PE is ``T``
-        independent single-channel lanes costing ``T`` DSPs (not
-        ``T x T``).  Minimise ``ceil(C / T)`` channel tiles under the
-        DSP and (1x1-spatial) BRAM limits; ties prefer fewer lanes.
+    def design(self, index: int) -> PipelineDesign:
+        """The :class:`PipelineDesign` of design ``index`` (built once)."""
+        design = self._designs.get(index)
+        if design is not None:
+            return design
+        architecture = self.architectures[index // len(self.strategies)]
+        allocations = self.allocations[index // len(self.strategies)]
+        start = int(self.starts[index])
+        layers = []
+        for row, (spec, allocation) in enumerate(
+            zip(architecture.layers, allocations), start
+        ):
+            phases = None
+            if self.phased[row]:
+                phases = PhaseLatency(
+                    load_cycles=int(self.load[row]),
+                    compute_cycles=int(self.compute[row]),
+                    write_cycles=int(self.write[row]),
+                )
+            layers.append(LayerDesign(
+                layer_index=allocation.layer_index,
+                spec=spec,
+                tiling=self.tilings[row],
+                phases=phases,
+            ))
+        design = self._designs[index] = PipelineDesign(
+            architecture=architecture,
+            platform=self.platform,
+            layers=tuple(layers),
+            allocations=tuple(allocations),
+        )
+        return design
 
-        At a 1x1 tile ``T`` lanes hold ``T*((S+K-1)**2 + 1 + K*K)``
-        words, so the largest feasible ``T`` is one division; it sets
-        the fewest channel tiles ``q``, and the fewest lanes that still
-        reach ``q`` are ``ceil(C / q)``.
-        """
-        c, k = spec.in_channels, spec.kernel
-        words = bram_budget_bytes // (WORD_BYTES * DOUBLE_BUFFER)
-        lane_words = (spec.stride + k - 1) ** 2 + 1 + k * k
-        t_max = min(c, dsp_budget, words // lane_words)
-        if t_max < 1:
-            raise ValueError(
-                f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
-                f"depthwise layer {spec.kernel}x{spec.kernel}/"
-                f"{spec.out_channels} (even T=1 overflows)"
-            )
-        tiles = -(-c // t_max)
-        lanes = -(-c // tiles)
-        return lanes, lanes
 
-    @staticmethod
-    def _choose_spatial_tilings(
-        spec: ConvLayerSpec, tm: int, tn: int, bram_budget_bytes: int
-    ) -> dict[str, tuple[int, int]]:
-        """Choose ``Tr, Tc`` under the BRAM budget, for every strategy.
+# -- the batched tiling solve ------------------------------------------------
 
-        Candidates are all (Tr, Tc) pairs over the divisor-friendly
-        values of R and C; feasibility is one broadcast grid of the
-        exact buffer model of :class:`LayerDesign`.  Each strategy ranks
-        the feasible pairs with a stable :func:`numpy.lexsort`, so ties
-        go to the first pair in row-major ``(Tr, Tc)`` order.
-        """
-        r, c = spec.out_rows, spec.out_cols
-        s, k = spec.stride, spec.kernel
-        rows = np.array(_tile_size_candidates(r))
-        cols = np.array(_tile_size_candidates(c))
-        weights = tn * k * k if spec.is_depthwise else tm * tn * k * k
-        # Words of the IFM window and the OFM tile for every (Tr, Tc);
-        # the weight block does not depend on the spatial tile.
-        words = (tn * np.multiply.outer(rows * s + (k - 1), cols * s + (k - 1))
-                 + tm * np.multiply.outer(rows, cols))
-        budget = bram_budget_bytes // (WORD_BYTES * DOUBLE_BUFFER) - weights
-        fit_r, fit_c = np.nonzero(words <= budget)
-        if fit_r.size == 0:
-            raise ValueError(
-                f"no spatial tiling fits BRAM budget {bram_budget_bytes}B for "
-                f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
-                f"(even 1x1 tiles overflow)"
-            )
-        tr, tc = rows[fit_r], cols[fit_c]
-        area = tr * tc
-        tiles = (-(-r // rows))[fit_r] * (-(-c // cols))[fit_c]
-        squareness = np.abs(tr - tc)
-        # max-reuse: largest area; ties prefer fewer total tiles (less
-        # ceil waste), then squarer tiles.
-        max_reuse = np.lexsort((squareness, tiles, -area))[0]
-        # min-start: smallest tile that still divides the map without
-        # extra waste (``tiles * area - R * C``, ranked without the
-        # constant).
-        min_start = np.lexsort((squareness, area, tiles * area))[0]
-        return {
-            "max-reuse": (int(tr[max_reuse]), int(tc[max_reuse])),
-            "min-start": (int(tr[min_start]), int(tc[min_start])),
-        }
+#: Rank of a masked-out candidate: above every real key.
+_NO_CANDIDATE = np.iinfo(np.int64).max
+
+
+def _first_minimum(valid: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Per row, the column of the lexicographically smallest ``keys``
+    among the ``valid`` columns; ties go to the first such column.
+
+    Rows with no valid column get 0 (callers mask them).
+    """
+    chosen = valid
+    for key in keys:
+        best = np.where(chosen, key, _NO_CANDIDATE).min(axis=1, keepdims=True)
+        chosen = chosen & (key == best)
+    return chosen.argmax(axis=1)
+
+
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+class _KeyColumns:
+    """The fields of many :data:`LayerKey` as int64 columns."""
+
+    def __init__(self, keys: list[LayerKey]):
+        (self.n, self.m, self.k, self.s, in_rows, in_cols, depthwise,
+         self.dsp, self.bram) = np.array(
+            [(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
+              spec.in_rows, spec.in_cols, spec.is_depthwise, dsp, bram)
+             for spec, dsp, bram in keys],
+            dtype=np.int64,
+        ).reshape(-1, 9).T
+        self.depthwise = depthwise.astype(bool)
+        self.r = _ceil_div(in_rows, self.s)
+        self.c = _ceil_div(in_cols, self.s)
+        #: Double-buffered BRAM budget in words.
+        self.words = self.bram // (WORD_BYTES * DOUBLE_BUFFER)
+
+
+def solve_tilings(keys: list[LayerKey]) -> list[dict[str, TilingVector]]:
+    """Both spatial strategies' tilings of every key, in one numpy pass.
+
+    Channel tiling minimises ``ceil(M/Tm) * ceil(N/Tn)`` under the DSP
+    and (1x1-spatial) BRAM limits, ties to fewer DSPs, then a larger
+    ``Tm``; depthwise layers use the closed form of
+    :func:`_channel_tilings`.  Spatial tiling ranks every BRAM-fitting
+    ``(Tr, Tc)`` pair per strategy (:func:`_spatial_tilings`).  Every
+    rank keeps the first row-major minimum, as the scalar candidate
+    loops it replaces did.
+
+    Raises the ``ValueError`` of the first key, in input order, that
+    has no feasible tiling.
+    """
+    columns = _KeyColumns(keys)
+    tm, tn, channel_fits = _channel_tilings(columns)
+    spatial, spatial_fits = _spatial_tilings(columns, tm, tn)
+    dsp_fits = columns.dsp >= 1
+    failing = ~(dsp_fits & channel_fits & spatial_fits)
+    if failing.any():
+        index = int(failing.argmax())
+        raise _infeasible(keys[index], bool(dsp_fits[index]),
+                          bool(channel_fits[index]))
+    tm, tn = tm.tolist(), tn.tolist()
+    spatial = {strategy: (tr.tolist(), tc.tolist())
+               for strategy, (tr, tc) in spatial.items()}
+    return [
+        {strategy: TilingVector(tm=tm[i], tn=tn[i], tr=tr[i], tc=tc[i])
+         for strategy, (tr, tc) in spatial.items()}
+        for i in range(len(keys))
+    ]
+
+
+def _infeasible(
+    key: LayerKey, dsp_fits: bool, channel_fits: bool
+) -> ValueError:
+    """The error of a key with no feasible tiling, by the stage that failed."""
+    spec, dsp_budget, bram_budget_bytes = key
+    shape = f"{spec.kernel}x{spec.kernel}/{spec.out_channels}"
+    if not dsp_fits:
+        return ValueError(f"dsp_budget must be >= 1, got {dsp_budget}")
+    if not channel_fits and spec.is_depthwise:
+        return ValueError(
+            f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
+            f"depthwise layer {shape} (even T=1 overflows)"
+        )
+    if not channel_fits:
+        return ValueError(
+            f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
+            f"layer {shape} (even Tm=Tn=1 overflows)"
+        )
+    return ValueError(
+        f"no spatial tiling fits BRAM budget {bram_budget_bytes}B for "
+        f"layer {shape} (even 1x1 tiles overflow)"
+    )
+
+
+def _channel_tilings(
+    t: _KeyColumns,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Tm, Tn, fits)`` of every key (``Tm = Tn = 1`` where nothing fits).
+
+    Standard layers: at a 1x1 spatial tile the buffers hold
+    ``Tn*(S+K-1)**2 + Tm + Tm*Tn*K*K`` words, linear in ``Tn``, so the
+    largest feasible ``Tn`` of every ``Tm`` is one integer division.
+    Every key's ``Tm`` column, padded to the batch's longest, is solved
+    at once.
+
+    Depthwise layers tie ``Tm == Tn == T``: ``T`` lanes cost ``T`` DSPs
+    and hold ``T*((S+K-1)**2 + 1 + K*K)`` words, so the largest feasible
+    ``T`` is one division; it sets the fewest channel tiles ``q``, and
+    the fewest lanes that still reach ``q`` are ``ceil(C / q)``.
+    """
+    tm = np.ones_like(t.m)
+    tn = np.ones_like(t.m)
+    fits = np.zeros(len(t.m), dtype=bool)
+    window = (t.s + t.k - 1) ** 2
+    standard = np.flatnonzero(~t.depthwise & (t.dsp >= 1))
+    if standard.size:
+        m, n, kk, dsp, words, window_s = (
+            x[standard, None]
+            for x in (t.m, t.n, t.k * t.k, t.dsp, t.words, window)
+        )
+        limit = np.minimum(m, dsp)
+        cand_tm = np.arange(1, int(limit.max()) + 1)
+        cand_tn = np.minimum(
+            np.minimum(n, dsp // cand_tm),
+            (words - cand_tm) // (window_s + cand_tm * kk),
+        )
+        valid = (cand_tm <= limit) & (cand_tn >= 1)
+        tiles = _ceil_div(m, cand_tm) * _ceil_div(n, np.maximum(cand_tn, 1))
+        best = _first_minimum(valid, tiles, cand_tm * cand_tn, -cand_tm)
+        rows = np.arange(standard.size)
+        tm[standard] = cand_tm[best]
+        tn[standard] = cand_tn[rows, best]
+        fits[standard] = valid[rows, best]
+    depthwise = np.flatnonzero(t.depthwise & (t.dsp >= 1))
+    if depthwise.size:
+        c = t.n[depthwise]
+        k = t.k[depthwise]
+        t_max = np.minimum(
+            np.minimum(c, t.dsp[depthwise]),
+            t.words[depthwise] // (window[depthwise] + 1 + k * k),
+        )
+        lanes = _ceil_div(c, _ceil_div(c, np.maximum(t_max, 1)))
+        ok = t_max >= 1
+        tm[depthwise] = tn[depthwise] = np.where(ok, lanes, 1)
+        fits[depthwise] = ok
+    return tm, tn, fits
+
+
+def _padded_candidates(extents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, valid)``: every extent's tile sizes, padded with 1s."""
+    lists = [_tile_size_candidates(extent) for extent in extents.tolist()]
+    lengths = np.array([len(sizes) for sizes in lists])
+    width = int(lengths.max())
+    sizes = np.ones((len(lists), width), dtype=np.int64)
+    for row, values in enumerate(lists):
+        sizes[row, :len(values)] = values
+    return sizes, np.arange(width) < lengths[:, None]
+
+
+def _spatial_tilings(
+    t: _KeyColumns, tm: np.ndarray, tn: np.ndarray
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``({strategy: (Tr, Tc)}, fits)`` of every key under its ``(Tm, Tn)``.
+
+    Candidates are all (Tr, Tc) pairs over the divisor-friendly values
+    of R and C, one broadcast grid per key of the exact buffer model of
+    :class:`LayerDesign`, padded to the batch's largest candidate count.
+    """
+    rows, row_valid = _padded_candidates(t.r)
+    cols, col_valid = _padded_candidates(t.c)
+    r3, c3 = rows[:, :, None], cols[:, None, :]
+    s, k = t.s[:, None, None], t.k[:, None, None]
+    weights = np.where(t.depthwise, tn, tm * tn) * t.k * t.k
+    # Words of the IFM window and the OFM tile for every (Tr, Tc); the
+    # weight block does not depend on the spatial tile.
+    words = (tn[:, None, None] * (r3 * s + (k - 1)) * (c3 * s + (k - 1))
+             + tm[:, None, None] * r3 * c3)
+    fit = (row_valid[:, :, None] & col_valid[:, None, :]
+           & (words <= (t.words - weights)[:, None, None]))
+    flat = (len(tm), -1)
+    fit = fit.reshape(flat)
+    tr = np.broadcast_to(r3, words.shape).reshape(flat)
+    tc = np.broadcast_to(c3, words.shape).reshape(flat)
+    tiles = (_ceil_div(t.r[:, None], rows)[:, :, None]
+             * _ceil_div(t.c[:, None], cols)[:, None, :]).reshape(flat)
+    area = tr * tc
+    squareness = np.abs(tr - tc)
+    keys = np.arange(len(tm))
+    # max-reuse: largest area; ties prefer fewer total tiles (less ceil
+    # waste), then squarer tiles.
+    max_reuse = _first_minimum(fit, -area, tiles, squareness)
+    # min-start: smallest tile that still divides the map without extra
+    # waste (``tiles * area - R * C``, ranked without the constant).
+    min_start = _first_minimum(fit, tiles * area, area, squareness)
+    return {
+        "max-reuse": (tr[keys, max_reuse], tc[keys, max_reuse]),
+        "min-start": (tr[keys, min_start], tc[keys, min_start]),
+    }, fit.any(axis=1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -46,10 +46,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from repro.fpga.dram import PhaseLatency
-from repro.fpga.tiling import LayerDesign, PipelineDesign
+from repro.fpga.tiling import (
+    DesignStack,
+    LayerDesign,
+    PipelineDesign,
+    _ceil_div,
+)
 from repro.scheduling.base import IFM_REUSE, OFM_REUSE
 from repro.scheduling.fnas_sched import alternating_strategies
 from repro.taskgraph.graph import rc_dependencies, resolve_rc_mapping
@@ -134,22 +140,21 @@ class FnasAnalyzer:
             raise ValueError(
                 f"{len(strategies)} strategies for {n_layers} layers"
             )
-        terms = design_terms(design, self.rc_mapping)
         layers: list[LayerLatency] = []
         start = 0
         for idx, layer in enumerate(design.layers):
             if idx == 0:
                 delta = 0
             else:
-                delta = _pick_delta(terms.deltas[idx - 1], strategies[idx - 1])
+                delta = self.start_delta(design.layers[idx - 1], layer,
+                                         strategies[idx - 1], self.rc_mapping)
             start += delta
-            execution_time, processing_time = terms.times[idx]
             layers.append(
                 LayerLatency(
                     layer_index=idx,
                     reuse=strategies[idx],
-                    execution_time=execution_time,
-                    processing_time=processing_time,
+                    execution_time=layer.effective_execution_time,
+                    processing_time=layer.effective_processing_time,
                     start_delta=delta,
                     start_time=start,
                     phases=layer.phases,
@@ -185,43 +190,6 @@ class FnasAnalyzer:
         return _pick_delta(
             _boundary_deltas(upstream, downstream, rc_mapping), upstream_reuse
         )
-
-
-class DesignTerms(NamedTuple):
-    """The reuse-independent terms of one design's closed form."""
-
-    #: ``(effective ET, effective PT)`` of every layer.
-    times: tuple[tuple[int, int], ...]
-    #: ``(OFM-reuse, IFM-reuse)`` start delta of every layer boundary.
-    deltas: tuple[tuple[int, int], ...]
-
-
-def design_terms(design: PipelineDesign, rc_mapping: str) -> DesignTerms:
-    """The :class:`DesignTerms` of ``design``, computed once per design.
-
-    No term depends on the reuse assignment, so they are computed on the
-    first call for each ``rc_mapping`` and kept on the design itself:
-    every later :meth:`FnasAnalyzer.analyze` of the same design (the
-    explorer tries two first-layer reuse choices) reads them back
-    instead of redoing the row/col dependency walk.  Two threads racing
-    on a fresh design compute the same pure value; either store wins.
-    """
-    terms = design.analyzer_terms.get(rc_mapping)
-    if terms is None:
-        layers = design.layers
-        terms = DesignTerms(
-            times=tuple(
-                (layer.effective_execution_time,
-                 layer.effective_processing_time)
-                for layer in layers
-            ),
-            deltas=tuple(
-                _boundary_deltas(upstream, downstream, rc_mapping)
-                for upstream, downstream in zip(layers, layers[1:])
-            ),
-        )
-        design.analyzer_terms[rc_mapping] = terms
-    return terms
 
 
 def _pick_delta(deltas: tuple[int, int], upstream_reuse: str) -> int:
@@ -266,3 +234,116 @@ def _last_rc_tile_needed(
     if mode == "identity":
         return 0
     return max(rc_dependencies(upstream, downstream, 0))
+
+
+#: The first-layer reuse choices of :class:`StackedLatencies`, by column.
+FIRST_REUSE_CHOICES = (OFM_REUSE, IFM_REUSE)
+
+
+class StackedLatencies:
+    """The closed form of every design of a :class:`DesignStack` at once.
+
+    The same eqs. (2)-(5) as :meth:`FnasAnalyzer.analyze`, as int64
+    array arithmetic over every layer of every design, for both
+    alternating reuse assignments: column ``f`` of the two-column arrays
+    is the assignment whose layer 0 uses ``FIRST_REUSE_CHOICES[f]``.
+    Each boundary's last row/col tile uses the closed form of
+    ``max(rc_dependencies(up, down, 0))``: the last upstream row tile
+    the downstream's first input window reaches is
+    ``min(ceil(in_r1 / Tr_up), rows_up) - 1``, and likewise for columns.
+    """
+
+    def __init__(self, stack: DesignStack, rc_mapping: str = "auto"):
+        self.stack = stack
+        s = stack
+        n_ifm = _ceil_div(s.in_channels, s.tn)
+        n_ofm = _ceil_div(s.out_channels, s.tm)
+        out_rows = _ceil_div(s.in_rows, s.stride)
+        out_cols = _ceil_div(s.in_cols, s.stride)
+        rows = _ceil_div(out_rows, s.tr)
+        cols = _ceil_div(out_cols, s.tc)
+        tasks = n_ofm * rows * cols * np.where(s.depthwise, 1, n_ifm)
+        et = s.execution_time
+        #: Effective per-task and per-layer cycles of every row.
+        self.execution_time = et
+        self.processing_time = et * tasks
+
+        # Row i's boundary is upstream row i-1 -> downstream row i.
+        up, down = slice(None, -1), slice(1, None)
+        needed = np.minimum(_ceil_div(s.tn[down], s.tm[up]), n_ofm[up])
+        if rc_mapping == "identity":
+            last_rc = np.zeros_like(needed)
+        else:
+            first_rows = np.minimum(out_rows[down], s.tr[down])
+            first_cols = np.minimum(out_cols[down], s.tc[down])
+            # The first tile's input window ends here (same-padding
+            # halo, clamped to the map), as in ``rc_dependencies``.
+            reach = s.kernel[down] - (s.kernel[down] - 1) // 2
+            in_r1 = np.minimum(s.in_rows[down],
+                               (first_rows - 1) * s.stride[down] + reach)
+            in_c1 = np.minimum(s.in_cols[down],
+                               (first_cols - 1) * s.stride[down] + reach)
+            last_row = np.minimum(_ceil_div(in_r1, s.tr[up]), rows[up]) - 1
+            last_col = np.minimum(_ceil_div(in_c1, s.tc[up]), cols[up]) - 1
+            last_rc = last_row * cols[up] + last_col
+            if rc_mapping == "auto":
+                identity = ((rows[up] * cols[up] == rows[down] * cols[down])
+                            & (rows[up] == rows[down]) & (s.stride[down] == 1))
+                last_rc = np.where(identity, 0, last_rc)
+        et_up, n_ifm_up, n_ofm_up = et[up], n_ifm[up], n_ofm[up]
+        depthwise = (last_rc * n_ofm_up + needed) * et_up
+        prefix = last_rc * n_ifm_up * n_ofm_up
+        ofm = np.where(s.depthwise[up], depthwise,
+                       (prefix + n_ifm_up * needed) * et_up)
+        ifm = np.where(s.depthwise[up], depthwise,
+                       (prefix + (n_ifm_up - 1) * n_ofm_up + needed) * et_up)
+        #: ``(OFM-reuse, IFM-reuse)`` start delta into every row from
+        #: the row before it; zero at every design's first layer.
+        self.deltas = np.zeros((len(et), 2), dtype=np.int64)
+        self.deltas[1:] = np.stack((ofm, ifm), axis=1)
+        self.deltas[s.starts] = 0
+
+        # Alternating assignments: the upstream layer of a boundary uses
+        # the first choice's reuse at an even position in its design, the
+        # other reuse at an odd one.
+        upstream = np.arange(len(et)) - np.repeat(s.starts, s.depths) - 1
+        uses_ifm = ((upstream & 1)[:, None] ^ np.array([0, 1])).astype(bool)
+        #: Start delta and start time of every row under each choice.
+        self.start_delta = np.where(uses_ifm, self.deltas[:, 1:],
+                                    self.deltas[:, :1])
+        reach = np.cumsum(self.start_delta, axis=0)
+        self.start_time = reach - np.repeat(reach[s.starts], s.depths, axis=0)
+        #: Eq. (5) latency of every design under each choice.
+        self.total_cycles = np.maximum.reduceat(
+            self.start_time + self.processing_time[:, None], s.starts, axis=0
+        )
+
+    def report(self, index: int, first: int) -> LatencyReport:
+        """The :class:`LatencyReport` of design ``index`` under choice
+        ``first``, equal to ``FnasAnalyzer(strategies).analyze(design)``."""
+        design = self.stack.design(index)
+        start = int(self.stack.starts[index])
+        rows = slice(start, start + len(design.layers))
+        strategies = alternating_strategies(len(design.layers),
+                                            FIRST_REUSE_CHOICES[first])
+        execution_time = self.execution_time[rows].tolist()
+        processing_time = self.processing_time[rows].tolist()
+        start_delta = self.start_delta[rows, first].tolist()
+        start_time = self.start_time[rows, first].tolist()
+        total_cycles = int(self.total_cycles[index, first])
+        return LatencyReport(
+            layers=tuple(
+                LayerLatency(
+                    layer_index=idx,
+                    reuse=strategies[idx],
+                    execution_time=execution_time[idx],
+                    processing_time=processing_time[idx],
+                    start_delta=start_delta[idx],
+                    start_time=start_time[idx],
+                    phases=layer.phases,
+                )
+                for idx, layer in enumerate(design.layers)
+            ),
+            total_cycles=total_cycles,
+            total_ms=design.platform.cycles_to_ms(total_cycles),
+        )

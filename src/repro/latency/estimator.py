@@ -5,14 +5,18 @@ runs FNAS-Design (tiling), optionally FNAS-GG + FNAS-Sched + the cycle
 simulator, or the closed-form FNAS-Analyzer, and returns the inference
 latency of an architecture on a platform.
 
-Estimation sits on the search hot path, so results are cached at two
-tiers:
+Estimation sits on the search hot path, so it works on whole batches
+(:meth:`LatencyEstimator.estimate_batch`; :meth:`~LatencyEstimator.estimate`
+is a batch of one): the distinct uncached architectures of a batch are
+allocated once each, all their layer tilings are solved in one numpy
+pass and all their design choices are analyzed in one array pass, and
+only the winning design of each is built as objects.  Results are also
+cached at two tiers:
 
 * **layer tier** -- a :class:`~repro.fpga.tiling.LayerDesignMemo`
-  shared by every tiling designer the estimator builds.  Architectures
-  in one search run share most per-layer configurations, so the
-  expensive FNAS-Design tiling search is reused *across* architecture
-  fingerprints.
+  shared by every design the estimator makes.  Architectures in one
+  search run share many per-layer configurations, so a layer tiling
+  solved for one fingerprint is reused by later ones.
 * **architecture tier** -- a bounded LRU of whole-architecture
   estimates keyed by fingerprint; the NAS controller revisits
   architectures often.
@@ -88,9 +92,9 @@ class LatencyEstimator:
         max_cache_entries: bound on the whole-architecture LRU tier;
             ``None`` disables the bound.
         use_layer_memo: enable the layer-level tiling memo (tier 1).
-            Disabling it reproduces the seed estimator's per-architecture
-            cost exactly; the throughput benchmark uses that as its
-            sequential baseline.
+            Disabled, every batch solves each distinct layer it meets
+            afresh and no lookups are counted; the throughput benchmark
+            uses that as its uncached sequential baseline.
     """
 
     def __init__(
@@ -150,62 +154,94 @@ class LatencyEstimator:
         self.layer_memo.clear()
 
     def estimate(self, architecture: Architecture) -> LatencyEstimate:
-        """Latency of ``architecture`` on the estimator's platform.
-
-        Thread-safe: the LRU tier and its counters mutate only under
-        an internal lock, which is *not* held across the expensive
-        fresh analysis -- two threads racing on the same uncached
-        fingerprint may both compute (each counting one miss; the
-        results are deterministic and identical), but exactly one
-        entry wins the cache and every later call returns it.
-        """
-        key = architecture.fingerprint()
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                self._cache.move_to_end(key)
-                return cached
-            self.stats.misses += 1
-        estimate = self._estimate_fresh(architecture)
-        with self._cache_lock:
-            existing = self._cache.get(key)
-            if existing is not None:
-                return existing  # a racing thread won; keep one entry
-            self._cache[key] = estimate
-            if (self.max_cache_entries is not None
-                    and len(self._cache) > self.max_cache_entries):
-                self._cache.popitem(last=False)
-                self.stats.evictions += 1
-        return estimate
+        """Latency of ``architecture`` on the estimator's platform."""
+        return self.estimate_batch([architecture])[0]
 
     def estimate_batch(
         self, architectures: list[Architecture] | tuple[Architecture, ...]
     ) -> list[LatencyEstimate]:
-        """Estimate a batch of candidates, computing duplicates only once.
+        """Estimate a batch of candidates, computing each distinct one once.
 
-        Search batches routinely contain repeated fingerprints (the
-        controller concentrates probability mass as it converges); the
-        LRU tier turns every repeat into a hit, so each distinct
-        architecture is analysed at most once per call.  Results are
-        returned in input order.
+        Fingerprints are checked against the LRU tier first; the
+        distinct misses then go through the FNAS tool chain together
+        (one allocation each, one tiling solve and one analyzer array
+        pass for the whole batch).  The LRU is then updated in input
+        order under one lock, exactly as that many :meth:`estimate`
+        calls in a row would: same hit/miss/eviction counts, same entry
+        order.  Results are returned in input order.
+
+        Thread-safe: the LRU and its counters mutate only under an
+        internal lock, which is *not* held across the fresh analysis.
+        Two threads racing on the same uncached fingerprint may both
+        compute it (the results are deterministic and identical), but
+        exactly one entry wins the cache and both return it.
         """
-        return [self.estimate(architecture) for architecture in architectures]
+        keys = [architecture.fingerprint() for architecture in architectures]
+        with self._cache_lock:
+            known = {}
+            for key in keys:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    known[key] = cached
+        fresh = {}
+        for key, architecture in zip(keys, architectures):
+            if key not in known:
+                fresh.setdefault(key, architecture)
+        if fresh:
+            estimates = self._estimate_fresh(list(fresh.values()))
+            known.update(zip(fresh, estimates))
+        with self._cache_lock:
+            return [self._settle(key, known[key]) for key in keys]
 
-    def _estimate_fresh(self, architecture: Architecture) -> LatencyEstimate:
-        """Run the full FNAS tool chain for one uncached architecture."""
-        first_reuse = None
+    def _settle(self, key: str, estimate: LatencyEstimate) -> LatencyEstimate:
+        """One LRU lookup of ``key``, inserting ``estimate`` on a miss.
+
+        Caller holds ``_cache_lock``.
+        """
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.stats.hits += 1
+            self._cache.move_to_end(key)
+            return cached
+        self.stats.misses += 1
+        self._cache[key] = estimate
+        if (self.max_cache_entries is not None
+                and len(self._cache) > self.max_cache_entries):
+            self._cache.popitem(last=False)
+            self.stats.evictions += 1
+        return estimate
+
+    def _estimate_fresh(
+        self, architectures: list[Architecture]
+    ) -> list[LatencyEstimate]:
+        """Run the full FNAS tool chain for distinct uncached architectures."""
         if self.explore_designs:
-            best = self._explorer.explore(architecture, self.platform).best
-            design = best.design
-            analytical_report = best.report
-            first_reuse = best.first_reuse
+            picks = [
+                (best.design, best.report, best.first_reuse)
+                for best in self._explorer.best_choices(architectures,
+                                                        self.platform)
+            ]
         else:
             designer = self.designer if self.designer is not None else TilingDesigner(
                 memo=self._designer_memo
             )
-            design = designer.design(architecture, self.platform)
-            analytical_report = FnasAnalyzer().analyze(design)
+            picks = []
+            for architecture in architectures:
+                design = designer.design(architecture, self.platform)
+                picks.append((design, FnasAnalyzer().analyze(design), None))
+        return [
+            self._finish(architecture, *pick)
+            for architecture, pick in zip(architectures, picks)
+        ]
+
+    def _finish(
+        self,
+        architecture: Architecture,
+        design: PipelineDesign,
+        analytical_report: LatencyReport,
+        first_reuse: str | None,
+    ) -> LatencyEstimate:
+        """The estimate of one design: the analyzer's, or the simulator's."""
         if self.method == ANALYTICAL:
             return LatencyEstimate(
                 architecture=architecture,

@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 from repro.core.architecture import Architecture
 from repro.fpga.platform import Platform
-from repro.fpga.tiling import LayerDesignMemo, PipelineDesign, TilingDesigner
-from repro.latency.analyzer import FnasAnalyzer, LatencyReport
-from repro.scheduling.base import IFM_REUSE, OFM_REUSE
-from repro.scheduling.fnas_sched import alternating_strategies
+from repro.fpga.tiling import (
+    SPATIAL_STRATEGIES,
+    DesignStack,
+    LayerDesignMemo,
+    PipelineDesign,
+)
+from repro.latency.analyzer import (
+    FIRST_REUSE_CHOICES,
+    LatencyReport,
+    StackedLatencies,
+)
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,17 @@ class ExplorationResult:
 class DesignExplorer:
     """Exhaustive search over the small FNAS-Design policy space.
 
-    An optional :class:`~repro.fpga.tiling.LayerDesignMemo` is threaded
-    into every designer the explorer builds, so repeated layer shapes --
-    common across the architectures of one search run -- skip the
-    per-layer tiling search entirely.
+    Every architecture of a call is allocated once, its tilings for
+    both spatial strategies come from one batched solve, and all four
+    choices of every architecture are evaluated in one array pass of
+    :class:`~repro.latency.analyzer.StackedLatencies`.  An optional
+    :class:`~repro.fpga.tiling.LayerDesignMemo` is shared by every call,
+    so repeated layer shapes -- common across the architectures of one
+    search run -- skip the tiling solve entirely.
     """
 
-    SPATIAL_STRATEGIES = ("max-reuse", "min-start")
-    FIRST_REUSE_CHOICES = (OFM_REUSE, IFM_REUSE)
+    SPATIAL_STRATEGIES = SPATIAL_STRATEGIES
+    FIRST_REUSE_CHOICES = FIRST_REUSE_CHOICES
 
     def __init__(self, memo: LayerDesignMemo | None = None):
         self.memo = memo
@@ -68,22 +78,46 @@ class DesignExplorer:
         self, architecture: Architecture, platform: Platform
     ) -> ExplorationResult:
         """Evaluate every policy combination and return the best design."""
-        choices: list[ExplorationChoice] = []
-        for spatial in self.SPATIAL_STRATEGIES:
-            designer = TilingDesigner(spatial_strategy=spatial, memo=self.memo)
-            design = designer.design(architecture, platform)
-            for first in self.FIRST_REUSE_CHOICES:
-                strategies = alternating_strategies(
-                    architecture.depth, first=first
-                )
-                report = FnasAnalyzer(strategies=strategies).analyze(design)
-                choices.append(
-                    ExplorationChoice(
-                        spatial_strategy=spatial,
-                        first_reuse=first,
-                        design=design,
-                        report=report,
-                    )
-                )
-        best = min(choices, key=lambda c: c.total_cycles)
-        return ExplorationResult(best=best, evaluated=tuple(choices))
+        latencies, best = self._evaluate([architecture], platform)
+        choices = tuple(
+            self._choice(latencies, design, first)
+            for design in range(len(self.SPATIAL_STRATEGIES))
+            for first in range(len(self.FIRST_REUSE_CHOICES))
+        )
+        return ExplorationResult(best=choices[best[0]], evaluated=choices)
+
+    def best_choices(
+        self, architectures: list[Architecture], platform: Platform
+    ) -> list[ExplorationChoice]:
+        """The best choice of every architecture; only the winners'
+        designs and reports are built."""
+        latencies, best = self._evaluate(architectures, platform)
+        per_arch = len(self.FIRST_REUSE_CHOICES)
+        return [
+            self._choice(latencies, index * len(self.SPATIAL_STRATEGIES)
+                         + choice // per_arch, choice % per_arch)
+            for index, choice in enumerate(best)
+        ]
+
+    def _evaluate(
+        self, architectures: list[Architecture], platform: Platform
+    ) -> tuple[StackedLatencies, list[int]]:
+        """The array pass over every choice, and each architecture's best
+        choice: the first minimum in (spatial strategy, first reuse)
+        order, the tie-break of ``min()`` over :attr:`evaluated`."""
+        stack = DesignStack(architectures, platform, self.SPATIAL_STRATEGIES,
+                            self.memo)
+        latencies = StackedLatencies(stack)
+        totals = latencies.total_cycles.reshape(len(architectures), -1)
+        return latencies, totals.argmin(axis=1).tolist()
+
+    def _choice(
+        self, latencies: StackedLatencies, design: int, first: int
+    ) -> ExplorationChoice:
+        return ExplorationChoice(
+            spatial_strategy=self.SPATIAL_STRATEGIES[
+                design % len(self.SPATIAL_STRATEGIES)],
+            first_reuse=self.FIRST_REUSE_CHOICES[first],
+            design=latencies.stack.design(design),
+            report=latencies.report(design, first),
+        )

@@ -199,6 +199,9 @@ class TestTilingDiskCache:
     def _entry(self):
         return (spec_of(), 64, 256 * 1024, "max-reuse")
 
+    def _lookup(self):
+        return ((spec_of(), 64, 256 * 1024), "max-reuse")
+
     def test_round_trip(self, tmp_path):
         from repro.fpga.tiling import TilingDiskCache
 
@@ -240,18 +243,24 @@ class TestTilingDiskCache:
         """A fresh process's memo (simulated by a fresh LayerDesignMemo)
         is warmed by another's write-through -- and the disk hit is paid
         at most once per shape, because the entry promotes to memory."""
-        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
+        from repro.fpga.tiling import (
+            LayerDesignMemo,
+            TilingDiskCache,
+            process_memo_snapshot,
+        )
 
+        # Another worker's write-through; a tiling no solve would pick,
+        # so reading it back proves it came from disk.
         tiling = TilingVector(tm=4, tn=3, tr=8, tc=8)
-        writer = LayerDesignMemo()
-        writer.store(*self._entry(), tiling)
+        TilingDiskCache(str(disk_dir)).put(*self._entry(), tiling)
 
         reader = LayerDesignMemo()  # another worker's tier 1: cold
-        assert reader.lookup(*self._entry()) == tiling
+        lookup = self._lookup()
+        assert reader.tilings([lookup])[lookup] == tiling
         disk = process_memo_snapshot()["disk"]
         assert disk["hits"] == 1 and disk["misses"] == 0
         # Promoted: the second lookup never touches the disk tier.
-        assert reader.lookup(*self._entry()) == tiling
+        assert reader.tilings([lookup])[lookup] == tiling
         assert process_memo_snapshot()["disk"]["hits"] == 1
 
     def test_unconfigured_tier_counts_nothing(self):
@@ -260,8 +269,10 @@ class TestTilingDiskCache:
         tiling_mod.configure_disk_cache(None)
         tiling_mod.reset_process_memo_stats()
         memo = tiling_mod.LayerDesignMemo()
-        assert memo.lookup(*self._entry()) is None
-        assert "disk" not in tiling_mod.process_memo_snapshot()
+        memo.tilings([self._lookup()])
+        snapshot = tiling_mod.process_memo_snapshot()
+        assert snapshot["all"]["misses"] == 1
+        assert "disk" not in snapshot
 
     def test_memory_tier_buckets_unchanged_by_disk_tier(self, disk_dir):
         """The ``all`` bucket keeps meaning memory-tier lookups, so
@@ -269,11 +280,11 @@ class TestTilingDiskCache:
         from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
 
         memo = LayerDesignMemo()
-        memo.lookup(*self._entry())                 # miss (both tiers)
-        memo.store(*self._entry(), TilingVector(tm=4, tn=3, tr=8, tc=8))
-        memo.lookup(*self._entry())                 # memory hit
+        memo.tilings([self._lookup()])      # miss (both tiers), solved
+        memo.tilings([self._lookup()])      # memory hit
         snapshot = process_memo_snapshot()
         assert snapshot["all"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
+        assert snapshot["disk"] == {"hits": 0, "misses": 1, "hit_rate": 0.0}
 
     def test_designer_writes_through_when_configured(self, disk_dir):
         """End to end: designing a layer with the tier configured leaves
@@ -333,6 +344,32 @@ class TestBothStrategiesPerMiss:
         for kind in ("all", "standard"):
             assert snapshot[kind] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
         assert "disk" not in snapshot
+
+    def test_one_call_counts_like_lookups_in_a_row(self):
+        """``tilings`` over many lookups counts each as the lookup-then-
+        solve sequence would: a repeat of a missed key, under either
+        strategy, is a hit."""
+        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
+
+        standard = (spec_of(n=8, m=16, size=28), 64, 10**6)
+        pointwise = (spec_of(n=8, m=16, size=14, k=1), 32, 10**5)
+        lookups = [(standard, "max-reuse"), (pointwise, "min-start"),
+                   (standard, "min-start"), (standard, "max-reuse"),
+                   (pointwise, "max-reuse")]
+        memo = LayerDesignMemo()
+        found = memo.tilings(lookups)
+        assert (memo.stats.hits, memo.stats.misses) == (3, 2)
+        assert {kind: (stats.hits, stats.misses)
+                for kind, stats in memo.kind_stats.items()} == {
+            "standard": (2, 1), "pointwise": (1, 1)}
+        assert process_memo_snapshot()["all"] == {
+            "hits": 3, "misses": 2, "hit_rate": 0.6}
+        assert len(memo) == 4
+        for (key, strategy) in lookups:
+            assert found[(key, strategy)] == TilingDesigner(
+                strategy).design_layer(*key)
+        memo.tilings(lookups)
+        assert (memo.stats.hits, memo.stats.misses) == (8, 2)
 
     def test_explorer_solves_each_layer_once(self, mnist_arch, pynq_platform):
         """The explorer's second designer is answered by the memo."""

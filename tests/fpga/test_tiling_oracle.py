@@ -2,12 +2,14 @@
 
 The scalar candidate loops below are the original FNAS-Design
 selection: one ``bram_usage`` call per channel and per spatial
-candidate, first minimum in row-major order.  ``TilingDesigner`` solves
-the same selection over whole numpy grids (closed-form ``Tn`` per
-``Tm``, one broadcast ``(Tr, Tc)`` BRAM grid, stable ``lexsort``); these
-properties hold it equal to the loops, errors included.
+candidate, first minimum in row-major order.  ``solve_tilings`` solves
+the same selection for a whole batch of layer keys in one padded numpy
+pass (closed-form ``Tn`` per ``Tm``, one broadcast ``(Tr, Tc)`` BRAM
+grid per key, first lexicographic minimum); these properties hold it
+equal to the loops, errors included.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,10 @@ from repro.fpga.tiling import (
     WORD_BYTES,
     TilingDesigner,
     TilingVector,
+    _KeyColumns,
+    _spatial_tilings,
     _tile_size_candidates,
+    solve_tilings,
 )
 
 STRATEGIES = ("max-reuse", "min-start")
@@ -124,6 +129,34 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
+def solved_channel_tiling(spec, dsp_budget, bram_budget_bytes):
+    """``(Tm, Tn)`` of a one-key batched solve."""
+    tiling = solve_tilings([(spec, dsp_budget, bram_budget_bytes)])[0]
+    return tiling["max-reuse"].tm, tiling["max-reuse"].tn
+
+
+def solved_spatial_tilings(spec, tm, tn, bram_budget_bytes):
+    """``{strategy: (Tr, Tc)}`` of the batched spatial stage for any
+    ``(Tm, Tn)``, or None when no spatial tile fits."""
+    chosen, fits = _spatial_tilings(
+        _KeyColumns([(spec, 1, bram_budget_bytes)]),
+        np.array([tm]), np.array([tn]),
+    )
+    if not fits[0]:
+        return None
+    return {strategy: (int(tr[0]), int(tc[0]))
+            for strategy, (tr, tc) in chosen.items()}
+
+
+def oracle_batch(keys):
+    """The scalar loops over a batch: the first failing key's error."""
+    return [
+        {strategy: oracle_design_layer(*key, strategy)
+         for strategy in STRATEGIES}
+        for key in keys
+    ]
+
+
 # -- inputs ------------------------------------------------------------------
 
 @st.composite
@@ -163,7 +196,7 @@ class TestWholeGridMatchesScalarOracle:
     @settings(deadline=None, max_examples=300)
     @given(spec=layer_specs(), dsp=st.integers(-2, 700), bram=bram_budgets)
     def test_channel_tiling(self, spec, dsp, bram):
-        assert (outcome(TilingDesigner._choose_channel_tiling, spec, dsp, bram)
+        assert (outcome(solved_channel_tiling, spec, dsp, bram)
                 == outcome(oracle_channel_tiling, spec, dsp, bram))
 
     @settings(deadline=None, max_examples=300)
@@ -174,13 +207,12 @@ class TestWholeGridMatchesScalarOracle:
         tm = data.draw(st.integers(1, spec.out_channels))
         tn = tm if spec.is_depthwise else data.draw(
             st.integers(1, spec.in_channels))
-        chosen = outcome(TilingDesigner._choose_spatial_tilings,
-                         spec, tm, tn, bram)
+        chosen = solved_spatial_tilings(spec, tm, tn, bram)
         for strategy in STRATEGIES:
             expected = outcome(oracle_spatial_tiling, spec, tm, tn, bram,
                                strategy)
             if isinstance(expected, tuple) and expected[0] == "ValueError":
-                assert chosen == expected
+                assert chosen is None
             else:
                 assert chosen[strategy] == expected
 
@@ -210,3 +242,51 @@ class TestWholeGridMatchesScalarOracle:
                 assert (outcome(designer.design_layer, spec, 64, bram)
                         == outcome(oracle_design_layer, spec, 64, bram,
                                    strategy))
+
+
+class TestBatchedSolveMatchesScalarOracle:
+    """One batch of many keys equals the loops run key by key."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        keys=st.lists(
+            st.tuples(layer_specs(), st.integers(1, 700),
+                      st.integers(4096, 600_000)),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_mixed_batches(self, keys, data):
+        """Standard, pointwise and depthwise keys with mixed budgets,
+        and duplicate keys, in one solve."""
+        keys = keys + data.draw(st.lists(st.sampled_from(keys), max_size=4))
+        keys = data.draw(st.permutations(keys))
+        assert outcome(solve_tilings, keys) == outcome(oracle_batch, keys)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        keys=st.lists(
+            st.tuples(layer_specs(), st.integers(-2, 700),
+                      bram_budgets),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_infeasible_key_raises_the_first_error_in_input_order(
+        self, keys
+    ):
+        """Budgets from "nothing fits" up: the batch raises exactly the
+        error the first failing key raises on its own."""
+        assert outcome(solve_tilings, keys) == outcome(oracle_batch, keys)
+
+    def test_each_key_is_the_one_key_solve(self):
+        """Padding to the batch's widest ``Tm`` column and candidate
+        grid leaves every key's choice as it is alone."""
+        keys = [
+            (ConvLayerSpec(3, 512, 7, 224, 224, stride=2), 900, 400_000),
+            (ConvLayerSpec(64, 64, 3, 5, 7, kind="depthwise"), 40, 9_000),
+            (ConvLayerSpec(1, 1, 1, 1, 1), 1, 64),
+            (ConvLayerSpec(96, 16, 1, 13, 13), 2, 5_000),
+        ]
+        batched = solve_tilings(keys)
+        assert batched == [solve_tilings([key])[0] for key in keys]
+        assert batched == oracle_batch(keys)

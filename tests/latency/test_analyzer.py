@@ -4,16 +4,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.architecture import Architecture
 from repro.fpga.device import PYNQ_Z1, XC7Z020_DDR_NARROW, XCZU9EG
 from repro.fpga.platform import Platform
-from repro.fpga.tiling import LayerDesign, TilingDesigner, TilingVector
-from repro.latency.analyzer import FnasAnalyzer, design_terms
+from repro.fpga.dram import PhaseLatency
+from repro.fpga.tiling import (
+    DesignStack,
+    LayerDesign,
+    TilingDesigner,
+    TilingVector,
+)
+from repro.latency.analyzer import (
+    FIRST_REUSE_CHOICES,
+    FnasAnalyzer,
+    StackedLatencies,
+)
 from repro.latency.explorer import DesignExplorer
 from repro.scheduling.base import IFM_REUSE, OFM_REUSE
-from repro.scheduling.fnas_sched import FnasScheduler
+from repro.scheduling.fnas_sched import FnasScheduler, alternating_strategies
 from repro.scheduling.simulator import PipelineSimulator
 from repro.taskgraph.graph import (
     TaskGraphGenerator,
@@ -196,59 +206,100 @@ def oracle_start_delta(upstream, downstream, upstream_reuse, rc_mapping):
     return (rc_prefix + (n_ifm_up - 1) * n_ofm_up + needed) * et_up
 
 
+def stack_architectures(layers_per_arch, size):
+    """Architectures from drawn ``(kernel, count, stride, type)`` layers."""
+    architectures = []
+    for layers in layers_per_arch:
+        kernels, counts, strides, types = zip(*layers)
+        architectures.append(Architecture.from_choices(
+            kernels, counts, input_size=size, input_channels=3,
+            strides=strides, conv_types=types,
+        ))
+    return architectures
+
+
+def scalar_phases(layer, device):
+    """The per-layer DRAM phases, from the scalar buffer model."""
+    dram = device.dram
+    return PhaseLatency(
+        load_cycles=dram.transfer_cycles(
+            layer.ifm_buffer_bytes + layer.weight_buffer_bytes,
+            device.clock_mhz),
+        compute_cycles=layer.execution_time,
+        write_cycles=dram.transfer_cycles(layer.ofm_buffer_bytes,
+                                          device.clock_mhz),
+    )
+
+
 class TestDesignTerms:
-    """The reuse-independent terms are computed once per design and
-    fold to exactly the per-boundary ``start_delta``."""
+    """The array pass of :class:`StackedLatencies` over a whole stack of
+    designs equals the scalar analyzer, term by term and report by
+    report, for both spatial strategies and both first-reuse choices."""
 
     @settings(deadline=None, max_examples=60)
     @given(
-        layers=st.lists(
-            st.tuples(st.sampled_from([1, 3, 5, 7]),
-                      st.sampled_from([4, 8, 9, 16, 18, 36, 64]),
-                      st.sampled_from([1, 2]),
-                      st.sampled_from(["standard", "separable"])),
-            min_size=1, max_size=4),
+        layers_per_arch=st.lists(
+            st.lists(
+                st.tuples(st.sampled_from([1, 3, 5, 7]),
+                          st.sampled_from([4, 8, 9, 16, 18, 36, 64]),
+                          st.sampled_from([1, 2]),
+                          st.sampled_from(["standard", "separable"])),
+                min_size=1, max_size=4),
+            min_size=1, max_size=3),
         size=st.sampled_from([8, 14, 16, 28]),
         device=st.sampled_from([PYNQ_Z1, XC7Z020_DDR_NARROW]),
         rc_mapping=st.sampled_from(["auto", "identity", "overlap"]),
-        strategy=st.sampled_from(["max-reuse", "min-start"]),
     )
-    def test_terms_equal_start_delta(self, layers, size, device, rc_mapping,
-                                     strategy):
-        kernels, counts, strides, types = zip(*layers)
-        arch = Architecture.from_choices(
-            kernels, counts, input_size=size, input_channels=3,
-            strides=strides, conv_types=types,
-        )
-        design = TilingDesigner(strategy).design(arch, Platform.single(device))
-        terms = design_terms(design, rc_mapping)
-        assert terms.times == tuple(
-            (layer.effective_execution_time, layer.effective_processing_time)
-            for layer in design.layers
-        )
-        assert len(terms.deltas) == len(design.layers) - 1
-        for (up, down), deltas in zip(
-            zip(design.layers, design.layers[1:]), terms.deltas
-        ):
-            for reuse, delta in zip((OFM_REUSE, IFM_REUSE), deltas):
-                assert delta == FnasAnalyzer.start_delta(up, down, reuse,
-                                                         rc_mapping)
-                assert delta == oracle_start_delta(up, down, reuse,
-                                                   rc_mapping)
+    # A stride-2 boundary whose row/col grids match: "auto" must still
+    # resolve it to overlap, where its last row/col tile is not 0.
+    @example(layers_per_arch=[[(7, 18, 1, "standard"), (5, 64, 1, "standard"),
+                               (7, 18, 2, "standard")]],
+             size=28, device=PYNQ_Z1, rc_mapping="auto")
+    def test_terms_equal_start_delta(self, layers_per_arch, size, device,
+                                     rc_mapping):
+        platform = Platform.single(device)
+        stack = DesignStack(stack_architectures(layers_per_arch, size),
+                            platform)
+        latencies = StackedLatencies(stack, rc_mapping)
+        assert len(stack) == 2 * len(layers_per_arch)
+        for index in range(len(stack)):
+            design = stack.design(index)
+            strategy = stack.strategies[index % 2]
+            architecture = stack.architectures[index // 2]
+            assert design == TilingDesigner(strategy).design(architecture,
+                                                             platform)
+            start = int(stack.starts[index])
+            for row, layer in enumerate(design.layers, start):
+                if device.dram is None:
+                    assert layer.phases is None
+                else:
+                    assert layer.phases == scalar_phases(layer, device)
+                assert latencies.execution_time[row] == (
+                    layer.effective_execution_time)
+                assert latencies.processing_time[row] == (
+                    layer.effective_processing_time)
+            assert tuple(latencies.deltas[start]) == (0, 0)
+            for row, (up, down) in enumerate(
+                zip(design.layers, design.layers[1:]), start + 1
+            ):
+                for reuse, delta in zip((OFM_REUSE, IFM_REUSE),
+                                        latencies.deltas[row]):
+                    assert delta == FnasAnalyzer.start_delta(
+                        up, down, reuse, rc_mapping)
+                    assert delta == oracle_start_delta(up, down, reuse,
+                                                       rc_mapping)
+            for first, reuse in enumerate(FIRST_REUSE_CHOICES):
+                strategies = alternating_strategies(len(design.layers),
+                                                    first=reuse)
+                assert latencies.report(index, first) == FnasAnalyzer(
+                    strategies=strategies, rc_mapping=rc_mapping,
+                ).analyze(design)
 
-    def test_terms_are_kept_per_rc_mapping(self):
-        design = design_of([8, 16, 8])
-        auto = design_terms(design, "auto")
-        assert design_terms(design, "auto") is auto
-        overlap = design_terms(design, "overlap")
-        assert set(design.analyzer_terms) == {"auto", "overlap"}
-        assert design_terms(design, "overlap") is overlap
-
-    def test_explorer_walks_row_col_dependencies_once_per_design(
+    def test_explorer_never_walks_row_col_dependencies(
         self, monkeypatch
     ):
-        """Four analyses over two designs: the row/col dependency walk
-        runs for each design once, not for each analysis."""
+        """The explorer never walks the row/col dependencies, yet its
+        reports equal the scalar analyzer's, which does."""
         from repro.latency import analyzer as analyzer_mod
 
         calls = []
@@ -261,6 +312,7 @@ class TestDesignTerms:
             [3, 3, 3], [8, 16, 8], input_size=16, strides=[1, 2, 1])
         result = DesignExplorer().explore(arch, Platform.single(PYNQ_Z1))
         assert len(result.evaluated) == 4
+        assert calls == []
         designs = {id(choice.design): choice.design
                    for choice in result.evaluated}
         assert len(designs) == 2
@@ -270,4 +322,9 @@ class TestDesignTerms:
             for up, down in zip(design.layers, design.layers[1:])
         )
         assert overlap_boundaries > 0
-        assert len(calls) == overlap_boundaries
+        for choice in result.evaluated:
+            strategies = alternating_strategies(arch.depth,
+                                                first=choice.first_reuse)
+            assert choice.report == FnasAnalyzer(
+                strategies=strategies).analyze(choice.design)
+        assert len(calls) == 2 * overlap_boundaries

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.architecture import Architecture
 from repro.core.search_space import SearchSpace
 from repro.configs import MNIST_CONFIG
-from repro.fpga.device import PYNQ_Z1
+from repro.fpga import tiling as tiling_mod
+from repro.fpga.device import PYNQ_Z1, XC7Z020_DDR_NARROW
 from repro.fpga.platform import Platform
 from repro.latency.estimator import LatencyEstimator
 
@@ -138,3 +140,116 @@ class TestLayerMemoTier:
         estimator.estimate(architectures[0])
         # Both spatial strategies ran for every layer of the architecture.
         assert len(estimator.layer_memo) >= architectures[0].depth
+
+
+def mnist_batch():
+    """Five MNIST-space architectures, three of them repeated."""
+    choices = [([5, 7, 5, 7], [9, 18, 18, 36]), ([3, 5, 3, 5], [9, 9, 18, 18]),
+               ([7, 7, 7, 7], [18, 18, 36, 36]), ([5, 7, 5, 7], [9, 18, 18, 18]),
+               ([3, 3, 3, 3], [9, 9, 9, 9])]
+    archs = [Architecture.from_choices(k, c, input_size=28) for k, c in choices]
+    return archs + [archs[0], archs[2], archs[0]]
+
+
+def separable_batch():
+    """Three depthwise-separable architectures, one repeated."""
+    choices = [([3, 3, 3], [16, 32, 32], [1, 2, 1]),
+               ([3, 5, 3], [16, 32, 64], [2, 1, 1]),
+               ([3, 3, 3], [16, 32, 32], [1, 2, 2])]
+    archs = [
+        Architecture.from_choices(
+            k, c, input_size=32, input_channels=3, strides=s,
+            conv_types=["standard", "separable", "separable"])
+        for k, c, s in choices
+    ]
+    return archs + [archs[1]]
+
+
+def counters(estimator):
+    memo = estimator.layer_memo
+    return {
+        "arch": (estimator.stats.hits, estimator.stats.misses,
+                 estimator.stats.evictions),
+        "memo": (memo.stats.hits, memo.stats.misses),
+        "kinds": {kind: (stats.hits, stats.misses)
+                  for kind, stats in sorted(memo.kind_stats.items())},
+        "entries": (len(memo), estimator.cache_size),
+    }
+
+
+class TestBatchCounters:
+    """One ``estimate_batch`` counts what the same architectures passed
+    one at a time through ``estimate`` count: one LRU lookup per input,
+    one layer-memo lookup per (layer occurrence, spatial strategy) of
+    every distinct miss.  The numbers are pinned from the per-
+    architecture estimator."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process_stats(self):
+        tiling_mod.configure_disk_cache(None)
+        tiling_mod.reset_process_memo_stats()
+        yield
+        tiling_mod.configure_disk_cache(None)
+        tiling_mod.reset_process_memo_stats()
+
+    def test_counts_equal_the_per_architecture_estimator(self):
+        flat = LatencyEstimator(Platform.single(PYNQ_Z1))
+        flat_cycles = [e.cycles for e in flat.estimate_batch(mnist_batch())]
+        ddr = LatencyEstimator(Platform.single(XC7Z020_DDR_NARROW))
+        ddr_cycles = [e.cycles for e in ddr.estimate_batch(separable_batch())]
+        assert flat_cycles == [192600, 63504, 691488, 176400, 14166,
+                               192600, 691488, 192600]
+        assert ddr_cycles == [397508, 399742, 239173, 399742]
+        assert counters(flat) == {
+            "arch": (3, 5, 0), "memo": (23, 17),
+            "kinds": {"standard": (23, 17)}, "entries": (34, 5),
+        }
+        assert counters(ddr) == {
+            "arch": (1, 3, 0), "memo": (17, 13),
+            "kinds": {"depthwise": (7, 5), "pointwise": (7, 5),
+                      "standard": (3, 3)},
+            "entries": (26, 3),
+        }
+        assert tiling_mod.process_memo_snapshot() == {
+            "all": {"hits": 40, "misses": 30, "hit_rate": 0.5714},
+            "depthwise": {"hits": 7, "misses": 5, "hit_rate": 0.5833},
+            "pointwise": {"hits": 7, "misses": 5, "hit_rate": 0.5833},
+            "standard": {"hits": 26, "misses": 20, "hit_rate": 0.5652},
+        }
+
+    def test_lru_counts_and_order_under_a_tight_bound(self):
+        """A repeat whose first occurrence the bound evicted mid-batch
+        is a miss again, as it was one call at a time; its estimate is
+        still computed only once per batch."""
+        estimator = LatencyEstimator(Platform.single(PYNQ_Z1),
+                                     max_cache_entries=3)
+        batch = mnist_batch()
+        estimator.estimate_batch(batch)
+        assert counters(estimator)["arch"] == (1, 7, 4)
+        assert estimator.cache_size == 3
+        assert estimator.stats.misses + estimator.stats.hits == len(batch)
+        # Same five distinct solves as the unbounded estimator above.
+        assert estimator.layer_memo_stats.lookups == 40
+        # A B C D E A C A through a 3-entry LRU leaves E, C, A.
+        assert list(estimator._cache) == [
+            batch[index].fingerprint() for index in (4, 2, 0)]
+
+    def test_disk_tier_counts_one_consultation_per_memory_miss(self, tmp_path):
+        tiling_mod.configure_disk_cache(str(tmp_path))
+        LatencyEstimator(Platform.single(XC7Z020_DDR_NARROW)).estimate_batch(
+            separable_batch())
+        warm = LatencyEstimator(Platform.single(XC7Z020_DDR_NARROW))
+        warm.estimate_batch(separable_batch())
+        assert counters(warm) == {
+            "arch": (1, 3, 0), "memo": (4, 26),
+            "kinds": {"depthwise": (2, 10), "pointwise": (2, 10),
+                      "standard": (0, 6)},
+            "entries": (26, 3),
+        }
+        assert tiling_mod.process_memo_snapshot() == {
+            "all": {"hits": 21, "misses": 39, "hit_rate": 0.35},
+            "depthwise": {"hits": 9, "misses": 15, "hit_rate": 0.375},
+            "pointwise": {"hits": 9, "misses": 15, "hit_rate": 0.375},
+            "standard": {"hits": 3, "misses": 9, "hit_rate": 0.25},
+            "disk": {"hits": 26, "misses": 13, "hit_rate": 0.6667},
+        }

@@ -109,3 +109,62 @@ def test_concurrent_estimate_respects_the_lru_bound():
     assert not errors, errors
     assert estimator.cache_size <= 3
     assert estimator.stats.evictions > 0
+
+
+def batch_hammer(estimator, pool, errors, results, offset):
+    """Whole rotated batches, repeats included, through estimate_batch."""
+    try:
+        for round_index in range(ROUNDS // 3):
+            shift = (offset + round_index) % len(pool)
+            batch = pool[shift:] + pool[:shift] + pool[:2]
+            for arch, estimate in zip(batch, estimator.estimate_batch(batch)):
+                results.setdefault(arch.fingerprint(), set()).add(
+                    (estimate.cycles, estimate.ms)
+                )
+    except BaseException as exc:  # noqa: BLE001 - surfaced by the test
+        errors.append(exc)
+
+
+@pytest.mark.parametrize("bound", [None, 3])
+def test_concurrent_estimate_batch_is_consistent(bound):
+    platform = Platform.replicated(get_device("pynq-z1"), 1)
+    estimator = LatencyEstimator(platform, max_cache_entries=bound)
+    pool = architectures()
+    errors: list[BaseException] = []
+    results: dict[str, set] = {}
+    threads = [
+        threading.Thread(
+            target=batch_hammer,
+            args=(estimator, pool, errors, results, offset),
+        )
+        for offset in range(THREADS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not errors, errors
+
+    # Every thread saw one result per fingerprint, equal to a fresh
+    # single-threaded estimate.
+    reference = LatencyEstimator(platform)
+    assert len(results) == len(pool)
+    for arch in pool:
+        expected = reference.estimate(arch)
+        assert results[arch.fingerprint()] == {(expected.cycles, expected.ms)}
+
+    # One LRU lookup per input architecture, none lost; the bound holds.
+    batch_size = len(pool) + 2
+    total = THREADS * (ROUNDS // 3) * batch_size
+    assert estimator.stats.hits + estimator.stats.misses == total
+    if bound is None:
+        assert len(pool) <= estimator.stats.misses <= THREADS * len(pool)
+        assert estimator.cache_size == len(pool)
+    else:
+        assert estimator.cache_size <= bound
+        assert estimator.stats.evictions > 0
+    memo_stats = estimator.layer_memo_stats
+    assert memo_stats.hits + memo_stats.misses == memo_stats.lookups > 0
+    kinds = estimator.layer_memo.kind_stats.values()
+    assert sum(k.hits for k in kinds) == memo_stats.hits
+    assert sum(k.misses for k in kinds) == memo_stats.misses

@@ -202,6 +202,13 @@ class TestPlanFlow:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_removed_serve_async_alias_exits_2(self, capsys):
+        """The gateway is the only server; ``--async`` no longer parses."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--async"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --async" in capsys.readouterr().err
+
     def test_canonical_flags_do_not_warn(self, capsys, tmp_path):
         assert main(["table1", "--trials", "3",
                      "--checkpoint-dir", str(tmp_path)]) == 0
