@@ -28,13 +28,9 @@ trade-off with the full analytical model in the loop.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
-import os
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -315,16 +311,10 @@ def reset_process_memo_stats() -> None:
         PROCESS_MEMO_STATS.clear()
 
 
-def _bump_process_stats(
-    counts: dict[str, MemoStats], disk: MemoStats
-) -> None:
-    """Add one call's memory-tier counts per kind, and its disk counts.
+def _bump_process_stats(counts: dict[str, MemoStats]) -> None:
+    """Add one call's counts per kind, and to the ``"all"`` bucket.
 
-    The disk tier is deliberately *not* folded into the ``"all"``
-    bucket: ``all`` keeps meaning "memory-tier lookups" so dashboards
-    read the same numbers either way, and the ``disk`` bucket's hit
-    rate directly answers "is the shared on-disk memo warming this
-    worker?".  A bucket appears once it has been consulted.
+    A bucket appears once it has been consulted.
     """
     with _PROCESS_STATS_LOCK:
         for kind, delta in counts.items():
@@ -332,150 +322,6 @@ def _bump_process_stats(
                 stats = PROCESS_MEMO_STATS.setdefault(bucket, MemoStats())
                 stats.hits += delta.hits
                 stats.misses += delta.misses
-        if disk.lookups:
-            stats = PROCESS_MEMO_STATS.setdefault("disk", MemoStats())
-            stats.hits += disk.hits
-            stats.misses += disk.misses
-
-
-class TilingDiskCache:
-    """Tier 2 of the tiling memo: a shared on-disk cache directory.
-
-    Workers in a :class:`~repro.service.pool.WorkerPool` each own a
-    process-private :class:`LayerDesignMemo` (tier 1).  Pointing them
-    all at one ``TilingDiskCache`` -- conventionally
-    ``<result-store>/tiling`` -- makes tiling selection a fleet-wide
-    pure-function cache: worker N's layer enumeration warms worker M,
-    and a campaign resumed tomorrow starts with yesterday's designs.
-
-    The file contract mirrors :class:`~repro.service.store.ResultStore`:
-
-    * keys are SHA-256 hashes of the canonical JSON of the inputs
-      (layer spec fields, resource budgets, spatial strategy) -- the
-      same canonical-hash idiom the store uses for plans;
-    * entries are single JSON files written via temp-file +
-      :func:`os.replace`, so concurrent writers race benignly (same
-      key => same pure-function value) and readers never see a partial
-      write in place;
-    * a torn, truncated or otherwise invalid file is a **silent
-      miss** -- the tiling is recomputed and the entry rewritten --
-      exactly the corrupt-entry contract of ``ResultStore.get_bytes``;
-    * :meth:`~repro.service.store.ResultStore.gc` ages and
-      budget-evicts these files alongside result entries (they are
-      always evictable: every entry is a recomputable cache line).
-
-    All I/O errors are swallowed: a read-only or vanished cache
-    directory degrades to the in-memory memo, never to a crash.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = Path(directory)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            pass
-
-    @staticmethod
-    def entry_key(
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-    ) -> str:
-        """Canonical hash of everything tiling selection depends on."""
-        canonical = json.dumps(
-            {
-                "spec": {
-                    "in_channels": spec.in_channels,
-                    "out_channels": spec.out_channels,
-                    "kernel": spec.kernel,
-                    "in_rows": spec.in_rows,
-                    "in_cols": spec.in_cols,
-                    "stride": spec.stride,
-                    "kind": spec.kind,
-                },
-                "dsp_budget": dsp_budget,
-                "bram_budget_bytes": bram_budget_bytes,
-                "spatial_strategy": spatial_strategy,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def get(
-        self,
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-    ) -> TilingVector | None:
-        """The cached tiling, or None on miss *or any invalid entry*."""
-        key = self.entry_key(spec, dsp_budget, bram_budget_bytes,
-                             spatial_strategy)
-        try:
-            raw = self._path(key).read_bytes()
-            fields = json.loads(raw)["tiling"]
-            return TilingVector(
-                tm=fields["tm"], tn=fields["tn"],
-                tr=fields["tr"], tc=fields["tc"],
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, torn, truncated, or corrupt: a silent miss.
-            return None
-
-    def put(
-        self,
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-        tiling: TilingVector,
-    ) -> None:
-        """Write-through one tiling (atomic rename; errors swallowed)."""
-        key = self.entry_key(spec, dsp_budget, bram_budget_bytes,
-                             spatial_strategy)
-        payload = json.dumps(
-            {"tiling": {"tm": tiling.tm, "tn": tiling.tn,
-                        "tr": tiling.tr, "tc": tiling.tc}},
-            sort_keys=True,
-        )
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-
-#: The process-wide disk tier every :class:`LayerDesignMemo` consults,
-#: or None when no cache directory has been configured.
-_DISK_CACHE: TilingDiskCache | None = None
-
-
-def configure_disk_cache(directory: str | None) -> None:
-    """Point (or unpoint, with None) the disk tier at ``directory``.
-
-    Process-wide by design: a worker serves many estimators over its
-    lifetime and all of them should share the one on-disk tier.  Pool
-    workers call this once per task from the directory the dispatcher
-    hands them (``<result-store>/tiling``); forked children inherit
-    the parent's setting until told otherwise.
-    """
-    global _DISK_CACHE
-    _DISK_CACHE = None if directory is None else TilingDiskCache(directory)
-
-
-def disk_cache() -> TilingDiskCache | None:
-    """The currently configured disk tier (None when unset)."""
-    return _DISK_CACHE
 
 
 #: Everything tiling selection depends on apart from the spatial
@@ -540,15 +386,11 @@ class LayerDesignMemo:
     def tilings(self, lookups: list[Lookup]) -> dict[Lookup, TilingVector]:
         """The tiling of every lookup, solving all misses in one pass.
 
-        Two tiers: the in-process dict first, then the shared on-disk
-        cache when one is configured (see :func:`configure_disk_cache`);
-        a disk hit is promoted into the memory tier, so each shape pays
-        disk I/O at most once per process.  The lookups count as that
-        many single lookups in a row would, each miss followed by a
-        solve that stores every strategy: a later lookup of a key an
-        earlier one missed is a hit.  The misses are then solved
-        together by :func:`solve_tilings` and stored (disk write-through
-        included).
+        The lookups count as that many single lookups in a row would,
+        each miss followed by a solve that stores every strategy: a
+        later lookup of a key an earlier one missed is a hit.  The
+        misses are then solved together by :func:`solve_tilings` and
+        stored.
         """
         found, pending = self._consult(Counter(lookups))
         if pending:
@@ -560,59 +402,44 @@ class LayerDesignMemo:
             with self._lock:
                 self._memo.update(solved)
             found.update(solved)
-            if _DISK_CACHE is not None:
-                for (key, strategy), tiling in solved:
-                    _DISK_CACHE.put(*key, strategy, tiling)
         return found
 
     def _consult(
         self, occurrences: dict[Lookup, int]
     ) -> tuple[dict[Lookup, TilingVector], list[LayerKey]]:
-        """Answer lookups from the memory tier, then the disk tier.
+        """Answer lookups from the memo and count them.
 
         ``occurrences`` maps each distinct lookup, in first-occurrence
         order, to how often it occurs.  Only a first occurrence can
-        miss: after it the lookup was found, promoted from disk or its
-        key solved.  Returns the tilings found and the keys left to
-        solve, in first-miss order, and bumps every counter once under
-        one lock.
+        miss: after it the lookup was found or its key solved.  Returns
+        the tilings found and the keys left to solve, in first-miss
+        order, and bumps every counter once under one lock.
         """
+        pending: dict[LayerKey, None] = {}
+        counts: dict[str, MemoStats] = {}
         with self._lock:
             memo = self._memo
             found = {}
-            for lookup in occurrences:
+            for lookup, repeats in occurrences.items():
+                key = lookup[0]
+                bucket = counts.setdefault(self._kind_bucket(key[0]),
+                                           MemoStats())
                 tiling = memo.get(lookup)
                 if tiling is not None:
                     found[lookup] = tiling
-        disk = _DISK_CACHE
-        pending: dict[LayerKey, None] = {}
-        promoted: dict[Lookup, TilingVector] = {}
-        counts: dict[str, MemoStats] = {}
-        disk_counts = MemoStats()
-        for lookup, repeats in occurrences.items():
-            key, strategy = lookup
-            bucket = counts.setdefault(self._kind_bucket(key[0]), MemoStats())
-            if lookup in found or key in pending:
-                bucket.hits += repeats
-                continue
-            bucket.misses += 1
-            bucket.hits += repeats - 1
-            if disk is not None:
-                tiling = disk.get(*key, strategy)
-                if tiling is not None:
-                    disk_counts.hits += 1
-                    found[lookup] = promoted[lookup] = tiling
-                    continue
-                disk_counts.misses += 1
-            pending[key] = None
-        with self._lock:
-            self._memo.update(promoted)
+                    bucket.hits += repeats
+                elif key in pending:
+                    bucket.hits += repeats
+                else:
+                    bucket.misses += 1
+                    bucket.hits += repeats - 1
+                    pending[key] = None
             for kind, delta in counts.items():
                 bucket = self.kind_stats.setdefault(kind, MemoStats())
                 for stats in (self.stats, bucket):
                     stats.hits += delta.hits
                     stats.misses += delta.misses
-        _bump_process_stats(counts, disk_counts)
+        _bump_process_stats(counts)
         return found, list(pending)
 
 

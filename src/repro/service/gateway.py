@@ -44,8 +44,9 @@ a client stalling mid-body past :data:`REQUEST_TIMEOUT_SECONDS` gets
 On SIGTERM, Ctrl-C or ``POST /shutdown`` the gateway *drains*: the
 listener closes, streams end with a final frame, running jobs finish
 (or are checkpoint-cancelled after ``drain_grace`` seconds; ``0``
-cancels them at once), and the service shuts down -- flushing the job
-journal -- before the process exits.
+cancels them at once, and so does a second SIGTERM or Ctrl-C), and the
+service shuts down -- flushing the job journal -- before the process
+exits.
 """
 
 from __future__ import annotations
@@ -333,9 +334,10 @@ class Gateway:
     """The asyncio front end over one :class:`SearchService`.
 
     Build it, ``await`` :meth:`start`, and the gateway serves until
-    :meth:`request_drain` (wired to SIGTERM and ``POST /shutdown`` by
-    :func:`run_gateway`); :meth:`wait_drained` completes once the
-    drain has finished and the service is shut down.
+    :meth:`request_drain` (called by ``POST /shutdown``, and through
+    :meth:`interrupt` by SIGTERM/SIGINT under :func:`run_gateway`);
+    :meth:`wait_drained` completes once the drain has finished and the
+    service is shut down.
 
     Parameters:
         service: the service to front.
@@ -408,6 +410,18 @@ class Gateway:
         assert self._loop is not None
         self._loop.create_task(self._drain())
 
+    def interrupt(self) -> None:
+        """SIGTERM/SIGINT: begin a drain, or cut a running one short.
+
+        The first signal calls :meth:`request_drain`; a signal during
+        the drain checkpoint-cancels the running jobs at once, as an
+        expired ``drain_grace`` would.
+        """
+        if self._draining:
+            self._cancel_running()
+        else:
+            self.request_drain()
+
     async def wait_drained(self) -> None:
         """Block until a requested drain has fully completed."""
         assert self._drained is not None, "gateway not started"
@@ -437,7 +451,7 @@ class Gateway:
         self._drained.set()
 
     def _cancel_running(self) -> None:
-        """Drain-grace expiry: checkpoint-cancel still-running jobs."""
+        """Checkpoint-cancel still-running jobs (grace expiry, signal)."""
         for handle in self.service.jobs():
             if handle.state == "running":
                 try:
@@ -1016,7 +1030,8 @@ def run_gateway(
 
     The blocking entry point behind ``repro serve``: builds a
     :class:`SearchService` from ``service_kwargs`` when none is
-    passed, installs signal handlers that trigger a graceful drain,
+    passed, installs signal handlers that trigger a graceful drain
+    (:meth:`Gateway.interrupt`; a second signal cancels running jobs),
     and returns only after the drain has flushed the journal and shut
     the service down.  ``on_start`` is called with the gateway once
     it is bound (so ``port=0`` callers can learn :attr:`Gateway.port`).
@@ -1034,12 +1049,12 @@ def run_gateway(
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(sig, gateway.request_drain)
+                loop.add_signal_handler(sig, gateway.interrupt)
         await gateway.wait_drained()
 
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
-        # No signal-handler support (or a second Ctrl-C): stop hard
-        # but cooperatively -- checkpoints make the next run a resume.
+        # No signal-handler support: stop hard but cooperatively --
+        # checkpoints make the next run a resume.
         service.shutdown(wait=True, cancel_running=True)

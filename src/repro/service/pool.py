@@ -2,15 +2,13 @@
 
 Before this module existed the repo ran *two* process runtimes side by
 side: ``Campaign._run_pooled`` stood up a throwaway
-``ProcessPoolExecutor`` per run (every shard paying process spawn,
-module import and a cold tiling memo), while
-:mod:`repro.service.workers` owned a separately-hardened
-one-subprocess-per-job backend.  :class:`WorkerPool` collapses both
-into a single pool of **long-lived** worker processes that
+``ProcessPoolExecutor`` per run (every shard paying process spawn and
+module import), while :mod:`repro.service.workers` owned a
+separately-hardened one-subprocess-per-job backend.  :class:`WorkerPool`
+collapses both into a single pool of **long-lived** worker processes that
 
 * are spawned lazily (first checkout) under the fork-preferring
-  context, so registry state survives the boundary and a warm tiling
-  memo is inherited;
+  context, so registry state survives the boundary;
 * stay alive across tasks -- a campaign's 40th shard and a service's
   40th job run on a worker whose imports, caches and allocator are
   already hot (``worker.reuse`` in :meth:`stats` counts exactly this);
@@ -157,9 +155,7 @@ def _child_run_batch(conn, seq: int, cancel_seq, parent_pid: int,
     in-flight call finishes -- its own checkpoint cadence preserves
     progress -- and the remaining items never start.
     """
-    setup, fn, calls = payload
-    if setup is not None:
-        setup()
+    fn, calls = payload
     for index, call in enumerate(calls):
         if cancel_seq.value == seq or os.getppid() != parent_pid:
             conn.send(("cancelled", seq, index))
@@ -183,18 +179,13 @@ def _child_run_plan(conn, seq: int, cancel_seq, parent_pid: int,
     is rebuilt child-side (a live store handle cannot cross), and
     cacheable results come back as their canonical payload so the
     store's byte-identity guarantee holds whichever backend ran the
-    job.  ``tiling_dir`` additionally points the child's tiling memo
-    at the shared on-disk tier, so one worker's layer designs warm
-    every other worker on the same store.
+    job.
     """
     from repro.core.search import SearchCancelled
-    from repro.fpga.tiling import configure_disk_cache
     from repro.service import store as store_mod
     from repro.service.executor import execute_plan
 
-    plan_json, fallback_checkpoint_dir, store_dir, tiling_dir = payload
-    if tiling_dir is not None:
-        configure_disk_cache(tiling_dir)
+    plan_json, fallback_checkpoint_dir, store_dir = payload
     plan = RunPlan.from_json(plan_json)
     store = None if store_dir is None else store_mod.ResultStore(store_dir)
 
@@ -239,10 +230,9 @@ def _context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context workers spawn under.
 
     ``fork`` keeps the parent's registry state (third-party controllers
-    or evaluators registered in-process stay resolvable in the child)
-    and its warm in-memory tiling memo; platforms without it fall back
-    to the default start method, where only entry-point-importable
-    components survive the boundary.
+    or evaluators registered in-process stay resolvable in the child);
+    platforms without it fall back to the default start method, where
+    only entry-point-importable components survive the boundary.
     """
     try:
         return multiprocessing.get_context("fork")
@@ -417,7 +407,6 @@ class WorkerPool:
         fn: Callable[..., Any],
         calls: Sequence[tuple],
         on_item: Callable[[int, Any], None] | None = None,
-        setup: Callable[[], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> TaskHandle | None:
         """Dispatch a batch of ``fn(*call)`` calls to one worker.
@@ -426,19 +415,17 @@ class WorkerPool:
         waiting; a stop returns None with nothing dispatched).  The
         worker runs the calls in order, streaming one result frame per
         call; ``on_item(index, value)`` fires from the waiting
-        thread's :meth:`wait` as each frame is processed.  ``setup``
-        (when given) runs once in the child before the first call --
-        e.g. pointing the worker's tiling memo at a shared disk tier.
-        Both ``fn`` and ``setup`` cross the pipe by reference
-        (module-level callables), so monkeypatched module globals
-        resolve in forked workers exactly as they do in-process.
+        thread's :meth:`wait` as each frame is processed.  ``fn``
+        crosses the pipe by reference (a module-level callable), so
+        monkeypatched module globals resolve in forked workers exactly
+        as they do in-process.
         """
         if not calls:
             raise ValueError("submit needs at least one call")
         worker = self._checkout(should_stop)
         if worker is None:
             return None
-        handle = self._dispatch(worker, "batch", (setup, fn, list(calls)),
+        handle = self._dispatch(worker, "batch", (fn, list(calls)),
                                 item_count=len(calls), on_item=on_item)
         return handle
 
@@ -449,7 +436,6 @@ class WorkerPool:
         cancel_requested: Callable[[], bool],
         fallback_checkpoint_dir: str | None = None,
         store_dir: str | None = None,
-        tiling_dir: str | None = None,
     ) -> tuple[Any, dict[str, Any] | None]:
         """Execute one plan on a pool worker (blocking).
 
@@ -465,13 +451,10 @@ class WorkerPool:
         be pickled back, or :class:`WorkerDied` when the worker died
         without reporting.
         """
-        if tiling_dir is None and store_dir is not None:
-            tiling_dir = os.path.join(store_dir, "tiling")
         worker = self._checkout(None)
         handle = self._dispatch(
             worker, "plan",
-            (canonical_plan_json(plan), fallback_checkpoint_dir, store_dir,
-             tiling_dir),
+            (canonical_plan_json(plan), fallback_checkpoint_dir, store_dir),
             item_count=1, on_event=emit,
         )
         cancelled = False

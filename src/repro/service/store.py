@@ -316,14 +316,9 @@ class ResultStore:
         ``dry_run`` computes the same report without deleting.
         Removed keys are also dropped from the in-memory cache.
         Raises :class:`ValueError` on in-memory-only stores (nothing
-        durable to collect).
-
-        The shared tiling-memo cache (``<store>/tiling/*.json``, see
-        :class:`repro.fpga.tiling.TilingDiskCache`) is swept in the
-        same pass, reported under ``tiling/<hash>`` pseudo-keys.
-        Those entries are *always* dead -- each is a recomputable
-        pure-function value no journal can pin -- so they age out and
-        budget-evict like any unreferenced result entry.
+        durable to collect).  Only top-level ``*.json`` entries are
+        examined: subdirectories (such as a ``tiling/`` left by older
+        versions) are ignored.
         """
         if self.directory is None:
             raise ValueError(
@@ -340,10 +335,6 @@ class ResultStore:
             path.stem: path
             for path in sorted(self.directory.glob("*.json"))
         }
-        paths.update({
-            f"tiling/{path.stem}": path
-            for path in sorted((self.directory / "tiling").glob("*.json"))
-        })
         live_bytes = 0
         kept_live = 0
         reclaimed = 0

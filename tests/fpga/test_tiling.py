@@ -181,134 +181,6 @@ class TestTileCandidates:
             _tile_size_candidates(0)
 
 
-class TestTilingDiskCache:
-    """Tier 2 of the tiling memo: the shared on-disk cache."""
-
-    @pytest.fixture
-    def disk_dir(self, tmp_path):
-        """Point the process-wide disk tier at a temp dir, then unpoint
-        it (the global must never leak into other tests)."""
-        from repro.fpga import tiling as tiling_mod
-
-        tiling_mod.configure_disk_cache(str(tmp_path / "tiling"))
-        tiling_mod.reset_process_memo_stats()
-        yield tmp_path / "tiling"
-        tiling_mod.configure_disk_cache(None)
-        tiling_mod.reset_process_memo_stats()
-
-    def _entry(self):
-        return (spec_of(), 64, 256 * 1024, "max-reuse")
-
-    def _lookup(self):
-        return ((spec_of(), 64, 256 * 1024), "max-reuse")
-
-    def test_round_trip(self, tmp_path):
-        from repro.fpga.tiling import TilingDiskCache
-
-        cache = TilingDiskCache(str(tmp_path))
-        tiling = TilingVector(tm=4, tn=3, tr=8, tc=8)
-        cache.put(*self._entry(), tiling)
-        assert cache.get(*self._entry()) == tiling
-
-    def test_distinct_inputs_get_distinct_keys(self, tmp_path):
-        from repro.fpga.tiling import TilingDiskCache
-
-        base = TilingDiskCache.entry_key(*self._entry())
-        for variant in (
-            (spec_of(n=9), 64, 256 * 1024, "max-reuse"),
-            (spec_of(), 63, 256 * 1024, "max-reuse"),
-            (spec_of(), 64, 256 * 1024 - 1, "max-reuse"),
-            (spec_of(), 64, 256 * 1024, "min-start"),
-        ):
-            assert TilingDiskCache.entry_key(*variant) != base
-
-    def test_torn_entry_at_every_offset_is_a_silent_miss(self, tmp_path):
-        """The corrupt-entry contract of ``ResultStore.get_bytes``: a
-        write torn at *any* byte offset must read as a miss, never an
-        exception or a bogus tiling."""
-        from repro.fpga.tiling import TilingDiskCache
-
-        cache = TilingDiskCache(str(tmp_path))
-        entry = self._entry()
-        cache.put(*entry, TilingVector(tm=4, tn=3, tr=8, tc=8))
-        path = tmp_path / f"{TilingDiskCache.entry_key(*entry)}.json"
-        intact = path.read_bytes()
-        for offset in range(len(intact)):
-            path.write_bytes(intact[:offset])
-            assert cache.get(*entry) is None, f"torn at offset {offset}"
-        path.write_bytes(intact)
-        assert cache.get(*entry) is not None
-
-    def test_memo_misses_fall_through_to_disk_and_promote(self, disk_dir):
-        """A fresh process's memo (simulated by a fresh LayerDesignMemo)
-        is warmed by another's write-through -- and the disk hit is paid
-        at most once per shape, because the entry promotes to memory."""
-        from repro.fpga.tiling import (
-            LayerDesignMemo,
-            TilingDiskCache,
-            process_memo_snapshot,
-        )
-
-        # Another worker's write-through; a tiling no solve would pick,
-        # so reading it back proves it came from disk.
-        tiling = TilingVector(tm=4, tn=3, tr=8, tc=8)
-        TilingDiskCache(str(disk_dir)).put(*self._entry(), tiling)
-
-        reader = LayerDesignMemo()  # another worker's tier 1: cold
-        lookup = self._lookup()
-        assert reader.tilings([lookup])[lookup] == tiling
-        disk = process_memo_snapshot()["disk"]
-        assert disk["hits"] == 1 and disk["misses"] == 0
-        # Promoted: the second lookup never touches the disk tier.
-        assert reader.tilings([lookup])[lookup] == tiling
-        assert process_memo_snapshot()["disk"]["hits"] == 1
-
-    def test_unconfigured_tier_counts_nothing(self):
-        from repro.fpga import tiling as tiling_mod
-
-        tiling_mod.configure_disk_cache(None)
-        tiling_mod.reset_process_memo_stats()
-        memo = tiling_mod.LayerDesignMemo()
-        memo.tilings([self._lookup()])
-        snapshot = tiling_mod.process_memo_snapshot()
-        assert snapshot["all"]["misses"] == 1
-        assert "disk" not in snapshot
-
-    def test_memory_tier_buckets_unchanged_by_disk_tier(self, disk_dir):
-        """The ``all`` bucket keeps meaning memory-tier lookups, so
-        pre-existing dashboards read the same numbers either way."""
-        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
-
-        memo = LayerDesignMemo()
-        memo.tilings([self._lookup()])      # miss (both tiers), solved
-        memo.tilings([self._lookup()])      # memory hit
-        snapshot = process_memo_snapshot()
-        assert snapshot["all"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
-        assert snapshot["disk"] == {"hits": 0, "misses": 1, "hit_rate": 0.0}
-
-    def test_designer_writes_through_when_configured(self, disk_dir):
-        """End to end: designing a layer with the tier configured leaves
-        a re-readable entry on disk."""
-        from repro.fpga.tiling import LayerDesignMemo, TilingDiskCache
-
-        memo = LayerDesignMemo()
-        designer = TilingDesigner(memo=memo)
-        tiling = designer.design_layer(spec_of(), 64, 256 * 1024)
-        cache = TilingDiskCache(str(disk_dir))
-        assert cache.get(spec_of(), 64, 256 * 1024, "max-reuse") == tiling
-
-    def test_a_miss_writes_through_every_strategy(self, disk_dir):
-        """One solve serves both spatial strategies, on disk too."""
-        from repro.fpga.tiling import LayerDesignMemo, TilingDiskCache
-
-        TilingDesigner(memo=LayerDesignMemo()).design_layer(
-            spec_of(), 64, 256 * 1024)
-        cache = TilingDiskCache(str(disk_dir))
-        assert cache.get(spec_of(), 64, 256 * 1024, "min-start") == (
-            TilingDesigner("min-start").design_layer(spec_of(), 64, 256 * 1024)
-        )
-
-
 class TestBothStrategiesPerMiss:
     """A memo miss solves both spatial strategies from one grid."""
 
@@ -316,7 +188,6 @@ class TestBothStrategiesPerMiss:
     def fresh_process_stats(self):
         from repro.fpga import tiling as tiling_mod
 
-        tiling_mod.configure_disk_cache(None)
         tiling_mod.reset_process_memo_stats()
         yield
         tiling_mod.reset_process_memo_stats()

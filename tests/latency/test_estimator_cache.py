@@ -186,10 +186,8 @@ class TestBatchCounters:
 
     @pytest.fixture(autouse=True)
     def fresh_process_stats(self):
-        tiling_mod.configure_disk_cache(None)
         tiling_mod.reset_process_memo_stats()
         yield
-        tiling_mod.configure_disk_cache(None)
         tiling_mod.reset_process_memo_stats()
 
     def test_counts_equal_the_per_architecture_estimator(self):
@@ -234,22 +232,3 @@ class TestBatchCounters:
         assert list(estimator._cache) == [
             batch[index].fingerprint() for index in (4, 2, 0)]
 
-    def test_disk_tier_counts_one_consultation_per_memory_miss(self, tmp_path):
-        tiling_mod.configure_disk_cache(str(tmp_path))
-        LatencyEstimator(Platform.single(XC7Z020_DDR_NARROW)).estimate_batch(
-            separable_batch())
-        warm = LatencyEstimator(Platform.single(XC7Z020_DDR_NARROW))
-        warm.estimate_batch(separable_batch())
-        assert counters(warm) == {
-            "arch": (1, 3, 0), "memo": (4, 26),
-            "kinds": {"depthwise": (2, 10), "pointwise": (2, 10),
-                      "standard": (0, 6)},
-            "entries": (26, 3),
-        }
-        assert tiling_mod.process_memo_snapshot() == {
-            "all": {"hits": 21, "misses": 39, "hit_rate": 0.35},
-            "depthwise": {"hits": 9, "misses": 15, "hit_rate": 0.375},
-            "pointwise": {"hits": 9, "misses": 15, "hit_rate": 0.375},
-            "standard": {"hits": 3, "misses": 9, "hit_rate": 0.25},
-            "disk": {"hits": 26, "misses": 13, "hit_rate": 0.6667},
-        }

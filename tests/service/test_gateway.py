@@ -276,6 +276,31 @@ class TestGracefulDrain:
             runner.stop()
 
 
+    def test_second_drain_signal_cancels_running_jobs(self, tmp_path):
+        """With no ``drain_grace``, a drain waits for running jobs; a
+        second signal cuts it short with a checkpoint-cancel."""
+        ckpt = tmp_path / "ckpt"
+        runner = GatewayRunner(workers=1, checkpoint_dir=str(ckpt)).start()
+        try:
+            info = ServiceClient(runner.base_url).submit(
+                search_plan(seed=33, trials=5000))
+            handle = runner.service.job(info["job_id"])
+            deadline = time.monotonic() + 60
+            while handle.state != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.02)
+            runner._loop.call_soon_threadsafe(runner.gateway.interrupt)
+            time.sleep(0.2)
+            assert runner.gateway.draining
+            assert handle.state == "running"
+            runner._loop.call_soon_threadsafe(runner.gateway.interrupt)
+            assert handle.wait(timeout=60) == "cancelled"
+        finally:
+            runner.stop()
+        [snapshot] = (ckpt / info["plan_hash"]).glob("*.checkpoint.json")
+        assert 0 < json.loads(snapshot.read_text())["next_index"] < 5000
+
+
 class TestGatewayMetrics:
     def test_metrics_reports_streams_and_submissions(self, live_gateway):
         client = ServiceClient(live_gateway.base_url)

@@ -45,17 +45,20 @@ class TestParity:
         assert observed["thread"][0] == observed["process"][0]
         assert observed["thread"][1] == observed["process"][1]
 
-    def test_result_object_carries_real_wall_clock(self):
+    def test_result_object_carries_real_wall_clock(self, tmp_path):
         """Parity covers handle.result(), not just stored bytes: the
         payload crosses the pipe unscrubbed, so the decoded object
         keeps the child's measured wall_seconds (the *stored* bytes
         are scrubbed to stay a pure function of the plan)."""
-        with SearchService(workers=1, backend="process") as service:
+        with SearchService(workers=1, backend="process",
+                           store_dir=str(tmp_path)) as service:
             handle = service.submit(search_plan())
             result = handle.result(timeout=300)
             assert len(result.trials) == 5
             assert result.wall_seconds > 0
             stored = handle.result_bytes()
+        # Tilings are recomputed per worker; nothing is cached on disk.
+        assert not (tmp_path / "tiling").exists()
         import json
 
         assert json.loads(stored)["wall_seconds"] == 0.0

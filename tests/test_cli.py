@@ -202,12 +202,18 @@ class TestPlanFlow:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_removed_serve_async_alias_exits_2(self, capsys):
-        """The gateway is the only server; ``--async`` no longer parses."""
+    @pytest.mark.parametrize("flag", [
+        ["--async"],
+        ["--tiling-cache-dir", "DIR"],
+    ], ids=["async", "tiling-cache-dir"])
+    def test_removed_serve_flags_exit_2(self, capsys, flag):
+        """Removed ``serve`` flags no longer parse: the gateway is the
+        only server, and tilings are no longer cached on disk."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--async"])
+            main(["serve", *flag])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --async" in capsys.readouterr().err
+        assert (f"unrecognized arguments: {' '.join(flag)}"
+                in capsys.readouterr().err)
 
     def test_canonical_flags_do_not_warn(self, capsys, tmp_path):
         assert main(["table1", "--trials", "3",
